@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestListExperiments(t *testing.T) {
 	if err := run([]string{"-list"}); err != nil {
@@ -34,5 +37,29 @@ func TestRunScenarioSweep(t *testing.T) {
 func TestScenarioMissingFile(t *testing.T) {
 	if err := run([]string{"-scenario", "no-such-file.yaml"}); err == nil {
 		t.Fatal("missing scenario file accepted")
+	}
+}
+
+func TestRunErrors(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string // substring the error must contain
+	}{
+		{[]string{"-nodes", "0", "fig9"}, "-nodes"},
+		{[]string{"-nodes", "-3", "fig9"}, "-nodes"},
+		{[]string{"-nodes", "0", "-scenario", "../../scenarios/faults.yaml"}, "-nodes"},
+		{[]string{"-scale", "0", "table1"}, "-scale"},
+		{[]string{"-scale", "-1", "table1"}, "-scale"},
+		{[]string{"-scale", "+Inf", "table1"}, "-scale"},
+		{[]string{"-parallel", "0", "table1"}, "-parallel"},
+		{[]string{"-parallel", "-1", "table1"}, "-parallel"},
+	}
+	for _, c := range cases {
+		err := run(c.args)
+		if err == nil {
+			t.Errorf("args %v accepted", c.args)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("args %v: error %q does not name %s", c.args, err, c.want)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRunSmallWorkload(t *testing.T) {
 	err := run([]string{"-workload", "aggregation", "-scale", "0.05", "-policy", "static", "-threads", "4"})
@@ -30,19 +33,34 @@ func TestRunWithFaults(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	cases := [][]string{
-		{"-workload", "nope"},
-		{"-policy", "nope", "-scale", "0.01"},
-		{"-conf", "malformed"},
-		{"-conf", "no.such.key=1"},
-		{"-faults", "bogus@@"},
-		{"-scenario", "no-such-file.yaml"},
-		{"-scenario", "../../scenarios/faults.yaml", "-workload", "terasort"},
-		{"-scenario", "../../scenarios/faults.yaml", "-faults", "crash@20s"},
+	cases := []struct {
+		args []string
+		want string // substring the error must contain ("" = any error)
+	}{
+		{[]string{"-workload", "nope"}, ""},
+		{[]string{"-policy", "nope", "-scale", "0.01"}, ""},
+		{[]string{"-conf", "malformed"}, ""},
+		{[]string{"-conf", "no.such.key=1"}, ""},
+		{[]string{"-faults", "bogus@@"}, ""},
+		{[]string{"-scenario", "no-such-file.yaml"}, ""},
+		{[]string{"-scenario", "../../scenarios/faults.yaml", "-workload", "terasort"}, ""},
+		{[]string{"-scenario", "../../scenarios/faults.yaml", "-faults", "crash@20s"}, ""},
+		{[]string{"-nodes", "0"}, "-nodes"},
+		{[]string{"-nodes", "-2"}, "-nodes"},
+		{[]string{"-scenario", "../../scenarios/faults.yaml", "-nodes", "0"}, "-nodes"},
+		{[]string{"-scale", "0"}, "-scale"},
+		{[]string{"-scale", "-1"}, "-scale"},
+		{[]string{"-scale", "NaN"}, "-scale"},
+		{[]string{"-policy", "static", "-threads", "0"}, "-threads"},
+		{[]string{"-policy", "static", "-threads", "-4"}, "-threads"},
+		{[]string{"-conf", "executor.cores=0"}, "executor.cores"},
 	}
-	for _, args := range cases {
-		if err := run(args); err == nil {
-			t.Errorf("args %v accepted", args)
+	for _, c := range cases {
+		err := run(c.args)
+		if err == nil {
+			t.Errorf("args %v accepted", c.args)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("args %v: error %q does not name %s", c.args, err, c.want)
 		}
 	}
 }

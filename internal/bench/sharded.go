@@ -12,24 +12,14 @@ import (
 	"sae/internal/engine/job"
 )
 
-// Sharded-kernel matrix benchmarks: one large-cluster grayfail run per
-// iteration, identical at every shard count, so ShardedMatrix4 over
-// ShardedMatrix1 is the intra-run parallelism speedup of the windowed
-// coordinator (see DESIGN.md "Sharded simulation"). At Shards > 1 the run
-// qualifies for windowed execution — no observers, no shuffle, and only
-// shard-local gray failures — and the bodies assert it actually took that
-// path. Concurrent shards need cores: the measured speedup scales with
-// min(GOMAXPROCS, shards), so on a single-core runner these entries document
-// the coordinator's overhead bound rather than a speedup.
-const shardedMatrixNodes = 256
+// matrixNodes is the cluster size of the large-cluster grayfail matrix.
+const matrixNodes = 256
 
-// shardedMatrixRun builds the matrix run: a 256-node scan under slowdowns on
-// every 32nd node, two heartbeat-dropping partitions and transient task I/O
-// faults. The control latency is raised to 10ms — the cross-shard lookahead
-// bound — so each window covers a useful slice of per-node disk and CPU
-// events.
-func shardedMatrixRun(shards int) (engine.Options, *job.JobSpec) {
-	cfg := cluster.DAS5(shardedMatrixNodes)
+// matrixRun builds the matrix run: a 256-node scan under slowdowns on every
+// 32nd node, two heartbeat-dropping partitions and transient task I/O
+// faults, with the control latency raised to 10ms.
+func matrixRun() (engine.Options, *job.JobSpec) {
+	cfg := cluster.DAS5(matrixNodes)
 	cfg.Variability = device.DefaultVariability(7)
 	cfg.ControlLatency = 10 * time.Millisecond
 	plan := &chaos.Plan{
@@ -37,20 +27,19 @@ func shardedMatrixRun(shards int) (engine.Options, *job.JobSpec) {
 		Seed:          7,
 		TaskFaultRate: 0.02,
 	}
-	for ex := 1; ex < shardedMatrixNodes; ex += 32 {
+	for ex := 1; ex < matrixNodes; ex += 32 {
 		plan.Slows = append(plan.Slows, chaos.Slow{Exec: ex, At: 5 * time.Second, Factor: 3})
 	}
 	plan.Partitions = []chaos.Partition{
 		{Exec: 2, At: 8 * time.Second, Duration: 40 * time.Second},
-		{Exec: shardedMatrixNodes - 3, At: 12 * time.Second, Duration: 40 * time.Second},
+		{Exec: matrixNodes - 3, At: 12 * time.Second, Duration: 40 * time.Second},
 	}
 	opts := engine.Options{
 		Cluster:   cfg,
 		BlockSize: 64 * device.MiB,
 		Policy:    core.Default{},
 		Faults:    plan,
-		Inputs:    []engine.Input{{Name: "in", Size: shardedMatrixNodes * 24 * 64 * device.MiB}},
-		Shards:    shards,
+		Inputs:    []engine.Input{{Name: "in", Size: matrixNodes * 24 * 64 * device.MiB}},
 	}
 	spec := &job.JobSpec{
 		Name: "sharded-matrix",
@@ -61,15 +50,18 @@ func shardedMatrixRun(shards int) (engine.Options, *job.JobSpec) {
 	return opts, spec
 }
 
-func shardedMatrix(b *testing.B, shards int) {
+// ShardedMatrix1 is the serial 256-executor grayfail matrix: one
+// large-cluster gray-failure scan per iteration on the single kernel (~6k
+// tasks). Only the run loop is timed. The name is historical and kept so
+// its committed numbers stay comparable.
+func ShardedMatrix1(b *testing.B) {
 	var events uint64
 	var simSec float64
 	for i := 0; i < b.N; i++ {
-		// Model construction (cluster, DFS placement, executor spawn) is
-		// sequential in every mode; keep it off the clock so ns/op measures
-		// the event loop the shards parallelize.
+		// Keep model construction (cluster, DFS placement, executor
+		// spawn) off the clock: ns/op measures the event loop.
 		b.StopTimer()
-		opts, spec := shardedMatrixRun(shards)
+		opts, spec := matrixRun()
 		e, err := engine.NewEngine(opts)
 		if err != nil {
 			b.Fatal(err)
@@ -87,9 +79,6 @@ func shardedMatrix(b *testing.B, shards int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if shards > 1 && !e.Windowed() {
-			b.Fatal("matrix run fell off the windowed path")
-		}
 		events += e.FiredEvents()
 		simSec += rep.Runtime.Seconds()
 	}
@@ -98,14 +87,3 @@ func shardedMatrix(b *testing.B, shards int) {
 		b.ReportMetric(simSec/s, "sim-s/wall-s")
 	}
 }
-
-// ShardedMatrix1 runs the matrix on a single kernel — the serial reference
-// every sharded entry's speedup is measured against.
-func ShardedMatrix1(b *testing.B) { shardedMatrix(b, 1) }
-
-// ShardedMatrix2 runs the matrix on two shard kernels in windowed mode.
-func ShardedMatrix2(b *testing.B) { shardedMatrix(b, 2) }
-
-// ShardedMatrix4 runs the matrix on four shard kernels in windowed mode —
-// the headline intra-run parallelism configuration.
-func ShardedMatrix4(b *testing.B) { shardedMatrix(b, 4) }

@@ -14,7 +14,7 @@ import (
 // its distinct hot paths (ring fast lane, 4-ary heap, reschedule-in-place
 // churn, periodic ticks, cancel-heavy speculation patterns), process
 // switching, the processor-sharing server under stream churn, and the
-// sharded-kernel coordinator on a large-cluster matrix (sharded.go).
+// serial 256-executor grayfail matrix end to end (sharded.go).
 func SimSuite() []Benchmark {
 	return []Benchmark{
 		{Name: "KernelRing", Body: KernelRing},
@@ -27,8 +27,6 @@ func SimSuite() []Benchmark {
 		{Name: "ProcessorSharing", Body: ProcessorSharing},
 		{Name: "ArrivalGen", Body: ArrivalGen},
 		{Name: "ShardedMatrix1", Body: ShardedMatrix1},
-		{Name: "ShardedMatrix2", Body: ShardedMatrix2},
-		{Name: "ShardedMatrix4", Body: ShardedMatrix4},
 	}
 }
 

@@ -63,29 +63,7 @@ func New(k *sim.Kernel, cfg Config) *Cluster {
 	return c
 }
 
-// NewSharded builds the cluster's nodes across several kernels: node i and
-// all its devices live on ks[shardOf(i)], so node-local work (disk and CPU
-// events, usage metering) advances on the owning shard. ks[0] hosts the
-// control plane and is what Kernel() returns.
-func NewSharded(ks []*sim.Kernel, shardOf func(int) int, cfg Config) *Cluster {
-	if cfg.Nodes <= 0 {
-		panic(fmt.Sprintf("cluster: need at least one node, got %d", cfg.Nodes))
-	}
-	if len(ks) == 0 {
-		panic("cluster: sharded cluster needs at least one kernel")
-	}
-	c := &Cluster{k: ks[0], cfg: cfg}
-	for i := 0; i < cfg.Nodes; i++ {
-		s := shardOf(i)
-		if s < 0 || s >= len(ks) {
-			panic(fmt.Sprintf("cluster: node %d assigned to shard %d of %d", i, s, len(ks)))
-		}
-		c.nodes = append(c.nodes, newNode(ks[s], i, cfg))
-	}
-	return c
-}
-
-// Kernel returns the simulation kernel hosting the control plane.
+// Kernel returns the simulation kernel.
 func (c *Cluster) Kernel() *sim.Kernel { return c.k }
 
 // Config returns the cluster configuration.

@@ -16,12 +16,13 @@ func ApplyConfig(opts *Options, reg *conf.Registry) error {
 	if err != nil {
 		return err
 	}
-	if cores > 0 {
-		// Virtual cores are SMT pairs over physical cores, as on the
-		// paper's nodes (32 virtual / 16 physical).
-		opts.Cluster.CPU.VirtualCores = cores
-		opts.Cluster.CPU.PhysicalCores = max(1, cores/2)
+	if cores <= 0 {
+		return fmt.Errorf("engine: executor.cores must be positive, got %d", cores)
 	}
+	// Virtual cores are SMT pairs over physical cores, as on the paper's
+	// nodes (32 virtual / 16 physical).
+	opts.Cluster.CPU.VirtualCores = cores
+	opts.Cluster.CPU.PhysicalCores = max(1, cores/2)
 	if opts.BlockSize, err = reg.GetBytes("files.maxPartitionBytes"); err != nil {
 		return err
 	}

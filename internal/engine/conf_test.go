@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"sae/internal/cluster"
@@ -105,5 +106,16 @@ func TestApplyConfigBadValues(t *testing.T) {
 	}
 	if err := ApplyConfig(&opts, reg3); err == nil {
 		t.Fatal("unknown scheduler mode accepted")
+	}
+	for _, v := range []string{"0", "-4"} {
+		reg := conf.New()
+		if err := reg.Set("executor.cores", v); err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Cluster: cluster.DAS5(2), Policy: core.Default{}}
+		err := ApplyConfig(&opts, reg)
+		if err == nil || !strings.Contains(err.Error(), "executor.cores") {
+			t.Fatalf("executor.cores=%s: got %v, want an error naming the key", v, err)
+		}
 	}
 }

@@ -169,29 +169,23 @@ func (e *Engine) activateStage(js *jobState, id int) {
 		} else {
 			e.em.limits[i] = init
 		}
-		e.sendExec(ex, execMsg{stageStart: &stageStartMsg{job: js.id, stage: spec}})
+		ex.inbox.Send(e.cluster.ControlLatency(), execMsg{stageStart: &stageStartMsg{job: js.id, stage: spec}})
 	}
 
 	// Stage-boundary snapshots for the utilization window. Under
 	// concurrent stages/jobs the windows overlap on the shared cluster —
 	// the percentages then describe the cluster during this stage, not
 	// this stage's own traffic (per-job traffic is task-attributed).
-	// A windowed sharded run skips the snapshots: node meters and device
-	// counters advance concurrently on their shards, and reading them
-	// mid-window would be both racy and nondeterministic. Those runs
-	// report zero utilization columns (see DESIGN.md "Sharded simulation").
 	ts.start = e.k.Now()
 	ts.usage0 = make([]cluster.Usage, e.cluster.Size())
 	ts.disk0 = make([]psres.Stats, e.cluster.Size())
-	if !e.windowed {
-		for i, n := range e.cluster.Nodes() {
-			ts.usage0[i] = n.Usage()
-			ts.disk0[i] = n.Disk.Snapshot()
-			r, w := n.Disk.Counters()
-			ts.read0 += r
-			ts.write0 += w
-			ts.net0 += n.NIC.BytesMoved()
-		}
+	for i, n := range e.cluster.Nodes() {
+		ts.usage0[i] = n.Usage()
+		ts.disk0[i] = n.Disk.Snapshot()
+		r, w := n.Disk.Counters()
+		ts.read0 += r
+		ts.write0 += w
+		ts.net0 += n.NIC.BytesMoved()
 	}
 	ts.lost0, ts.resub0, ts.requeue0 = js.lostExecs, js.resubmissions, js.requeues
 	ts.recovered0 = e.shuffle.recoveredBytes(js.id)
@@ -223,7 +217,7 @@ func (e *Engine) completeStage(ts *taskSet) {
 	e.trace(TraceEvent{Type: TraceStageEnd, Job: js.id, Stage: id, Task: -1, Exec: -1})
 	for i, ex := range e.executors {
 		if e.em.alive[i] {
-			e.sendExec(ex, execMsg{stageEnd: &stageEndMsg{job: js.id, stage: id}})
+			ex.inbox.Send(e.cluster.ControlLatency(), execMsg{stageEnd: &stageEndMsg{job: js.id, stage: id}})
 		}
 	}
 
@@ -245,36 +239,27 @@ func (e *Engine) completeStage(ts *taskSet) {
 		sr.TaskP50, sr.TaskP95, sr.TaskMax = q[0], q[1], q[2]
 	}
 	vcores := e.opts.Cluster.CPU.VirtualCores
-	if !e.windowed {
-		for i, n := range e.cluster.Nodes() {
-			u := n.Usage()
-			d := n.Disk.Snapshot()
-			sr.CPUPercent += cluster.CPUPercent(ts.usage0[i], u, vcores)
-			sr.IowaitPercent += cluster.IowaitPercent(ts.usage0[i], u, vcores)
-			sr.DiskUtilPercent += cluster.DiskUtilization(ts.disk0[i], d)
-			r, w := n.Disk.Counters()
-			sr.DiskReadBytes += r
-			sr.DiskWriteBytes += w
-			sr.NetBytes += n.NIC.BytesMoved()
-		}
-		nn := float64(e.cluster.Size())
-		sr.CPUPercent /= nn
-		sr.IowaitPercent /= nn
-		sr.DiskUtilPercent /= nn
-		sr.DiskReadBytes -= ts.read0
-		sr.DiskWriteBytes -= ts.write0
-		sr.NetBytes -= ts.net0
+	for i, n := range e.cluster.Nodes() {
+		u := n.Usage()
+		d := n.Disk.Snapshot()
+		sr.CPUPercent += cluster.CPUPercent(ts.usage0[i], u, vcores)
+		sr.IowaitPercent += cluster.IowaitPercent(ts.usage0[i], u, vcores)
+		sr.DiskUtilPercent += cluster.DiskUtilization(ts.disk0[i], d)
+		r, w := n.Disk.Counters()
+		sr.DiskReadBytes += r
+		sr.DiskWriteBytes += w
+		sr.NetBytes += n.NIC.BytesMoved()
 	}
+	nn := float64(e.cluster.Size())
+	sr.CPUPercent /= nn
+	sr.IowaitPercent /= nn
+	sr.DiskUtilPercent /= nn
+	sr.DiskReadBytes -= ts.read0
+	sr.DiskWriteBytes -= ts.write0
+	sr.NetBytes -= ts.net0
 	for i, ex := range e.executors {
-		limit := ex.limit
-		if e.windowed {
-			// The executor's pool size lives on its shard; report the
-			// driver's slot-table view, which the ThreadCountUpdate
-			// protocol keeps current.
-			limit = e.em.limits[i]
-		}
-		ts.stats[i].FinalThreads = limit
-		sr.ThreadsTotal += limit
+		ts.stats[i].FinalThreads = ex.limit
+		sr.ThreadsTotal += ex.limit
 		sr.MaxThreadsTotal += ex.info.MaxThreads
 	}
 	sr.Execs = ts.stats

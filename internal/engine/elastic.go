@@ -165,7 +165,7 @@ func newAutoCtl(e *Engine, cfg AutoscaleConfig) (*autoCtl, error) {
 	}
 	var tick sim.Event
 	tick = e.k.Every(cfg.Interval, func() {
-		if e.done.Load() {
+		if e.done {
 			tick.Cancel()
 			return
 		}
@@ -307,7 +307,7 @@ func (c *autoCtl) scaleUp(want int, reason string) int {
 // executor uses (the driver re-sends active stages and arms the detector).
 func (c *autoCtl) activate(i int) {
 	e := c.eng
-	if e.done.Load() {
+	if e.done {
 		return
 	}
 	c.pendingNode[i] = false
@@ -422,7 +422,7 @@ func (c *autoCtl) decommission(i int) {
 	// The process itself must be up too: a node that crashed mid-drain
 	// before the driver declared it lost is the failure detector's to book
 	// out, not a decommission.
-	if e.done.Load() || !em.alive[i] || !e.executors[i].alive || em.admin[i] != adminDraining || !c.drainComplete(i) {
+	if e.done || !em.alive[i] || !e.executors[i].alive || em.admin[i] != adminDraining || !c.drainComplete(i) {
 		return
 	}
 	ex := e.executors[i]

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"sae/internal/chaos"
@@ -119,26 +118,12 @@ type Options struct {
 	// Audit interface). Like Metrics, attaching an auditor provably does
 	// not perturb the event log — traces stay byte-identical.
 	Audit Audit
-	// Shards partitions the cluster into that many per-node-group kernels
-	// advanced under a shared clock (0 or 1 = the classic single kernel).
-	// Runs whose plans qualify (see DESIGN.md "Sharded simulation") advance
-	// the shards concurrently through conservative lookahead windows; all
-	// other runs — including every traced, audited or quiet run — take the
-	// deterministic merge path, which is byte-identical to Shards=1 by
-	// construction. Requires a positive Cluster.ControlLatency, the
-	// lookahead bound.
-	Shards int
 }
 
 // Engine wires the simulated cluster, DFS, shuffle registry and executors,
 // and schedules any number of submitted jobs over them.
 type Engine struct {
-	k *sim.Kernel
-	// ss is the shard coordinator (nil at Shards<=1). shardOf maps node →
-	// owning shard; windowed is decided in Wait once the job set is known.
-	ss        *sim.ShardSet
-	shardOf   []int
-	windowed  bool
+	k         *sim.Kernel
 	opts      Options
 	cluster   *cluster.Cluster
 	fs        *dfs.FS
@@ -168,10 +153,7 @@ type Engine struct {
 	// pending); per-job failures live on the jobState instead.
 	fatal   error
 	started bool
-	// done flips when the driver finishes; atomic because in windowed runs
-	// per-shard housekeeping events (heartbeats, interference streams,
-	// slowdown timers) read it from their shard's goroutine.
-	done atomic.Bool
+	done    bool
 }
 
 // JobHandle refers to one submitted job; its report becomes available after
@@ -246,48 +228,11 @@ func NewEngine(opts Options) (*Engine, error) {
 		opts.MetricsInterval = 5 * time.Second
 	}
 
-	nshards := opts.Shards
-	if nshards < 1 {
-		nshards = 1
-	}
-	if nshards > opts.Cluster.Nodes {
-		nshards = opts.Cluster.Nodes
-	}
-	var (
-		k  *sim.Kernel
-		ss *sim.ShardSet
-		cl *cluster.Cluster
-	)
-	var shardOf []int
-	if nshards > 1 {
-		if opts.Cluster.ControlLatency <= 0 {
-			return nil, errors.New("engine: Shards > 1 needs a positive Cluster.ControlLatency (the shard lookahead bound)")
-		}
-		// Contiguous shard assignment: node i → shard i*n/nodes. Keeps
-		// executor IDs within a shard consecutive, so per-shard iteration
-		// order matches global ID order.
-		ss = sim.NewShardSet(nshards, opts.Cluster.ControlLatency)
-		shardOf = make([]int, opts.Cluster.Nodes)
-		kernels := make([]*sim.Kernel, nshards)
-		for i := range kernels {
-			kernels[i] = ss.Shard(i)
-		}
-		for i := range shardOf {
-			shardOf[i] = i * nshards / opts.Cluster.Nodes
-		}
-		// The driver lives on shard 0's kernel.
-		k = ss.Shard(0)
-		cl = cluster.NewSharded(kernels, func(i int) int { return shardOf[i] }, opts.Cluster)
-	} else {
-		k = sim.NewKernel()
-		cl = cluster.New(k, opts.Cluster)
-	}
+	k := sim.NewKernel()
 	e := &Engine{
 		k:        k,
-		ss:       ss,
-		shardOf:  shardOf,
 		opts:     opts,
-		cluster:  cl,
+		cluster:  cluster.New(k, opts.Cluster),
 		shuffle:  newShuffleRegistry(),
 		toDriver: sim.NewMailbox[driverMsg](k),
 		aud:      opts.Audit,
@@ -304,7 +249,7 @@ func NewEngine(opts Options) (*Engine, error) {
 	for i, node := range e.cluster.Nodes() {
 		ex := newExecutor(e, i, node, opts.Policy)
 		e.executors = append(e.executors, ex)
-		ex.k.Go(fmt.Sprintf("executor-%d", i), ex.main)
+		k.Go(fmt.Sprintf("executor-%d", i), ex.main)
 	}
 	// Executors and DFS datanodes are co-located 1:1, so a node's replicas
 	// are unreachable exactly when its executor process is dead or the node
@@ -323,21 +268,18 @@ func NewEngine(opts Options) (*Engine, error) {
 	// beat is a periodic kernel event rescheduled in place — one queue
 	// entry per executor for the whole run — rather than a process that
 	// re-arms a fresh sleep timer per beat.
-	// The ticker lives on the executor's own shard kernel, so the beat
-	// reads executor state and the shard-local clock without crossing
-	// shards; only the resulting message travels.
 	for i, ex := range e.executors {
 		i, ex := i, ex
 		var tick sim.Event
-		tick = ex.k.Every(e.opts.HeartbeatInterval, func() {
-			if e.done.Load() {
+		tick = k.Every(e.opts.HeartbeatInterval, func() {
+			if e.done {
 				tick.Cancel()
 				return
 			}
-			if !ex.alive || e.opts.Faults.Partitioned(i, ex.k.Now()) {
+			if !ex.alive || e.partitionedNow(i) {
 				return
 			}
-			e.sendDriver(ex.shard, driverMsg{heartbeat: &heartbeatMsg{
+			e.toDriver.Send(e.cluster.ControlLatency(), driverMsg{heartbeat: &heartbeatMsg{
 				exec:      i,
 				epoch:     ex.epoch,
 				running:   ex.running,
@@ -420,9 +362,6 @@ func (e *Engine) Wait() error {
 	if len(e.jobs) == 0 {
 		return errors.New("engine: no jobs submitted")
 	}
-	// With the full job set known, decide between the windowed and merged
-	// shard paths (no-op at Shards<=1).
-	e.windowed = e.shardWindowsEligible()
 	// Admit jobs in batches per distinct submission instant, in submission
 	// order within a batch. Task assignment is deferred until the whole
 	// batch is admitted: with per-job admission the first job's activation
@@ -465,22 +404,12 @@ func (e *Engine) Wait() error {
 				e.sched.handleHeartbeat(msg.heartbeat)
 			}
 		}
-		// Housekeeping events (heartbeat tickers, interference streams) see
-		// done on their next firing and wind down, draining the queues —
-		// the same post-completion drain in all run modes.
-		e.done.Store(true)
+		e.done = true
 	})
 	if e.opts.OnSetup != nil {
 		e.opts.OnSetup(e)
 	}
-	switch {
-	case e.ss == nil:
-		e.k.Run()
-	case e.windowed:
-		e.ss.RunWindows()
-	default:
-		e.ss.Run()
-	}
+	e.k.Run()
 	if e.auto != nil {
 		// Close the node-seconds integral at the end of virtual time.
 		e.auto.account()
@@ -522,6 +451,9 @@ func Run(opts Options, spec *job.JobSpec) (*JobReport, error) {
 // Kernel returns the simulation kernel.
 func (e *Engine) Kernel() *sim.Kernel { return e.k }
 
+// FiredEvents returns the number of events the run has fired so far.
+func (e *Engine) FiredEvents() uint64 { return e.k.FiredEvents() }
+
 // Cluster returns the simulated cluster.
 func (e *Engine) Cluster() *cluster.Cluster { return e.cluster }
 
@@ -532,7 +464,7 @@ func (e *Engine) FS() *dfs.FS { return e.fs }
 func (e *Engine) Executors() []*Executor { return e.executors }
 
 // Done reports whether every job has finished (for sampler processes).
-func (e *Engine) Done() bool { return e.done.Load() }
+func (e *Engine) Done() bool { return e.done }
 
 // InjectDiskInterference starts `streams` background readers hammering
 // node's disk with chunk-sized reads from `from` until every job completes —
@@ -543,11 +475,9 @@ func (e *Engine) InjectDiskInterference(node int, from time.Duration, streams in
 	}
 	disk := e.cluster.Node(node).Disk
 	for i := 0; i < streams; i++ {
-		// The stream runs on the node's shard kernel — it hammers a
-		// node-local device.
-		e.kernelOf(node).Go(fmt.Sprintf("interference-%d-%d", node, i), func(p *sim.Proc) {
+		e.k.Go(fmt.Sprintf("interference-%d-%d", node, i), func(p *sim.Proc) {
 			p.Sleep(from)
-			for !e.done.Load() {
+			for !e.done {
 				disk.Read(p, chunk)
 			}
 		})

@@ -144,7 +144,7 @@ func (m *execManager) noteBeat(b *heartbeatMsg) {
 // receiving new work, and the loss timer starts. Runs in event context.
 func (m *execManager) onSuspect(i int) {
 	m.suspectEv[i] = sim.Event{}
-	if m.eng.done.Load() || !m.alive[i] {
+	if m.eng.done || !m.alive[i] {
 		return
 	}
 	m.suspected[i] = true
@@ -164,7 +164,7 @@ func (m *execManager) onSuspect(i int) {
 // happens in the driver loop, in deterministic message order.
 func (m *execManager) onLost(i int) {
 	m.lostEv[i] = sim.Event{}
-	if m.eng.done.Load() || !m.alive[i] {
+	if m.eng.done || !m.alive[i] {
 		return
 	}
 	m.eng.toDriver.Send(0, driverMsg{execLost: &execLostMsg{exec: i, epoch: m.epochs[i]}})

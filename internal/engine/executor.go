@@ -31,15 +31,9 @@ import (
 // restarted executor keeps its ID and node; the driver re-sends the active
 // stages so fresh controllers re-bootstrap the MAPE-K loop from cmin.
 type Executor struct {
-	id   int
-	node *cluster.Node
-	eng  *Engine
-	// k is the kernel owning this executor's events — the node's shard
-	// kernel at Shards > 1, the engine kernel otherwise; shard is its
-	// index. All executor-local work (control loop, tasks, heartbeats,
-	// thread-log timestamps) runs on k.
-	k      *sim.Kernel
-	shard  int
+	id     int
+	node   *cluster.Node
+	eng    *Engine
 	info   job.ExecutorInfo
 	policy job.Policy
 
@@ -197,11 +191,9 @@ func newExecutor(eng *Engine, id int, node *cluster.Node, policy job.Policy) *Ex
 		id:             id,
 		node:           node,
 		eng:            eng,
-		k:              eng.kernelOf(node.ID),
-		shard:          eng.shardFor(node.ID),
 		info:           info,
 		policy:         policy,
-		inbox:          sim.NewMailbox[execMsg](eng.kernelOf(node.ID)),
+		inbox:          sim.NewMailbox[execMsg](eng.k),
 		ctrls:          make(map[setKey]job.Controller),
 		choice:         make(map[setKey]int),
 		stages:         make(map[setKey]*job.StageSpec),
@@ -325,7 +317,7 @@ func (ex *Executor) shutdown() {
 	ex.epoch++
 	ex.queue = nil
 	ex.retireControllers()
-	ex.threadLog = append(ex.threadLog, ThreadChange{At: ex.k.Now(), Stage: ex.curStage, Threads: 0})
+	ex.threadLog = append(ex.threadLog, ThreadChange{At: ex.eng.k.Now(), Stage: ex.curStage, Threads: 0})
 }
 
 // fence makes a still-alive executor that was declared lost adopt a fresh
@@ -337,10 +329,10 @@ func (ex *Executor) fence(epoch int) {
 	ex.epoch = epoch
 	ex.queue = nil
 	ex.retireControllers()
-	ex.threadLog = append(ex.threadLog, ThreadChange{At: ex.k.Now(), Stage: ex.curStage, Threads: 0})
+	ex.threadLog = append(ex.threadLog, ThreadChange{At: ex.eng.k.Now(), Stage: ex.curStage, Threads: 0})
 	ex.eng.trace(TraceEvent{Type: TraceExecFence, Job: -1, Stage: ex.curStage, Task: -1, Exec: ex.id,
 		Detail: fmt.Sprintf("epoch %d fenced, rejoining as %d", epoch-1, epoch)})
-	ex.eng.sendDriver(ex.shard, driverMsg{
+	ex.eng.toDriver.Send(ex.eng.cluster.ControlLatency(), driverMsg{
 		execJoin: &execJoinMsg{exec: ex.id, epoch: ex.epoch},
 	})
 }
@@ -431,7 +423,7 @@ func (ex *Executor) applyAndNotify(n, jobID, stage int) bool {
 		return false
 	}
 	ex.setLimit(n, stage)
-	ex.eng.sendDriver(ex.shard, driverMsg{
+	ex.eng.toDriver.Send(ex.eng.cluster.ControlLatency(), driverMsg{
 		threads: &threadsMsg{exec: ex.id, epoch: ex.epoch, job: jobID, stage: stage, threads: n},
 	})
 	return true
@@ -446,14 +438,14 @@ func (ex *Executor) setLimit(n, stage int) {
 	}
 	ex.limit = n
 	ex.curStage = stage
-	ex.threadLog = append(ex.threadLog, ThreadChange{At: ex.k.Now(), Stage: stage, Threads: n})
+	ex.threadLog = append(ex.threadLog, ThreadChange{At: ex.eng.k.Now(), Stage: stage, Threads: n})
 }
 
 // start launches one task as its own process.
 func (ex *Executor) start(lm *launchMsg) {
 	ex.running++
 	epoch := ex.epoch
-	ex.k.Go("task", func(p *sim.Proc) {
+	ex.eng.k.Go("task", func(p *sim.Proc) {
 		tc := &taskContext{
 			eng:        ex.eng,
 			p:          p,
@@ -498,7 +490,7 @@ func (ex *Executor) start(lm *launchMsg) {
 				}
 			}
 		}
-		ex.eng.sendDriver(ex.shard, driverMsg{
+		ex.eng.toDriver.Send(ex.eng.cluster.ControlLatency(), driverMsg{
 			taskDone: &taskDoneMsg{exec: ex.id, epoch: ex.epoch, job: lm.job, metrics: tm, err: err},
 		})
 		ex.drain()

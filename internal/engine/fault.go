@@ -53,10 +53,8 @@ func (e *Engine) scheduleFaults(plan *chaos.Plan) {
 			continue
 		}
 		s := s
-		// The slowdown throttles node-local devices, so it fires on the
-		// node's shard kernel.
-		e.kernelOf(s.Exec).At(s.At, func() {
-			if e.done.Load() {
+		e.k.At(s.At, func() {
+			if e.done {
 				return
 			}
 			node := e.executors[s.Exec].node
@@ -74,14 +72,14 @@ func (e *Engine) scheduleFaults(plan *chaos.Plan) {
 		}
 		pt := pt
 		e.k.At(pt.At, func() {
-			if e.done.Load() {
+			if e.done {
 				return
 			}
 			e.trace(TraceEvent{Type: TracePartition, Job: -1, Stage: -1, Task: -1, Exec: pt.Exec,
 				Detail: fmt.Sprintf("start, heals after %s", pt.Duration)})
 		})
 		e.k.At(pt.At+pt.Duration, func() {
-			if e.done.Load() {
+			if e.done {
 				return
 			}
 			e.trace(TraceEvent{Type: TracePartition, Job: -1, Stage: -1, Task: -1, Exec: pt.Exec,
@@ -96,7 +94,7 @@ func (e *Engine) scheduleFaults(plan *chaos.Plan) {
 // notices the heartbeat silence, suspects, and declares the executor lost
 // at the heartbeat timeout.
 func (e *Engine) crashExecutor(i int) {
-	if e.done.Load() {
+	if e.done {
 		return
 	}
 	ex := e.executors[i]
@@ -114,7 +112,7 @@ func (e *Engine) crashExecutor(i int) {
 // ThreadCountUpdate flow by re-sending the active stages, whose fresh
 // controllers bootstrap the MAPE-K loop again from cmin.
 func (e *Engine) restartExecutor(i int) {
-	if e.done.Load() {
+	if e.done {
 		return
 	}
 	ex := e.executors[i]

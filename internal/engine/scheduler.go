@@ -526,7 +526,7 @@ func (s *taskScheduler) handleExecJoin(m *execJoinMsg) {
 		if limit == 0 || init < limit {
 			limit = init
 		}
-		e.sendExec(ex, execMsg{stageStart: &stageStartMsg{job: key.job, stage: ts.stage}})
+		ex.inbox.Send(e.cluster.ControlLatency(), execMsg{stageStart: &stageStartMsg{job: key.job, stage: ts.stage}})
 	}
 	em.limits[m.exec] = limit
 	s.assign(m.exec)
@@ -559,7 +559,7 @@ func (s *taskScheduler) handleHeartbeat(m *heartbeatMsg) {
 			js.fenced++
 		}
 	}
-	e.sendExec(e.executors[m.exec],
+	e.executors[m.exec].inbox.Send(e.cluster.ControlLatency(),
 		execMsg{fence: &fenceMsg{epoch: em.epochs[m.exec] + 1}})
 }
 
@@ -741,7 +741,7 @@ func (s *taskScheduler) launch(ts *taskSet, pick, i int) {
 			lm.inputTotal += seg.bytes
 		}
 	}
-	e.sendExec(ex, execMsg{launch: lm})
+	ex.inbox.Send(e.cluster.ControlLatency(), execMsg{launch: lm})
 }
 
 // speculate launches backup copies of stragglers once the stage is mostly

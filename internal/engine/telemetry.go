@@ -220,7 +220,7 @@ func (t *engineTelemetry) arm() {
 	t.reg.Sample(0)
 	var tick sim.Event
 	tick = e.k.Every(e.opts.MetricsInterval, func() {
-		if e.done.Load() {
+		if e.done {
 			tick.Cancel()
 			return
 		}

@@ -53,12 +53,6 @@ type Setup struct {
 	// sequential per-run state, so like Trace and Metrics it forces
 	// sequential experiment execution.
 	Audit engine.Audit
-	// Shards partitions each run's cluster into per-node-group kernels
-	// under a shared clock (0 or 1 = single kernel; see
-	// engine.Options.Shards). Traced, audited and quiet runs take the
-	// deterministic merge path, so results stay byte-identical at any
-	// shard count.
-	Shards int
 }
 
 // Default returns the paper's 4-node HDD environment.
@@ -115,7 +109,6 @@ func (s Setup) Run(w *workloads.Spec, policy job.Policy, onSetup func(*engine.En
 		Metrics:         s.Metrics,
 		MetricsInterval: s.MetricsInterval,
 		Audit:           s.Audit,
-		Shards:          s.Shards,
 	}
 	if s.Config != nil {
 		if err := engine.ApplyConfig(&opts, s.Config); err != nil {

@@ -40,7 +40,6 @@ func (s Setup) RunMulti(ws []*workloads.Spec, policy job.Policy, jobPolicy engin
 		Metrics:         s.Metrics,
 		MetricsInterval: s.MetricsInterval,
 		Audit:           s.Audit,
-		Shards:          s.Shards,
 	}
 	if s.Config != nil {
 		if err := engine.ApplyConfig(&opts, s.Config); err != nil {

@@ -317,7 +317,6 @@ func (r Runner) replayArrivals(scenario string, cfg ArrivalConfig, m ArrivalMatr
 		Metrics:         s.Metrics,
 		MetricsInterval: s.MetricsInterval,
 		Audit:           s.Audit,
-		Shards:          s.Shards,
 		Autoscale: &engine.AutoscaleConfig{
 			Policy:            cfg.Policy(),
 			Interval:          m.Interval,

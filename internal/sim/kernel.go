@@ -21,30 +21,15 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 )
 
-// kstate is the ordering state a kernel draws on: the virtual clock and the
-// event / process sequence counters. A standalone kernel owns its own; the
-// kernels of a merged shard set (see ShardSet) share one, which makes event
-// creation order — and therefore every tie-break — globally unique across
-// shards, the property that keeps a merged sharded run byte-identical to a
-// single-kernel run.
-type kstate struct {
-	now     time.Duration
-	seq     uint64
-	procSeq uint64
-}
-
-// noLimit disables the RunUntil horizon.
-const noLimit = time.Duration(math.MaxInt64)
-
 // Kernel is a discrete-event simulator. The zero value is not usable; use
 // NewKernel.
 type Kernel struct {
-	st     *kstate
+	now    time.Duration
+	seq    uint64
 	events eventQueue
 	// dead counts cancelled events still sitting in the queue; once they
 	// outnumber the live ones the queue is compacted in one pass.
@@ -62,39 +47,29 @@ type Kernel struct {
 	ringDead int
 	free     *event // free list of recycled event structs
 	// main wakes the Run goroutine when the dispatch baton (see dispatch)
-	// finds no more events to fire. Kernels in a merged shard set share one
-	// main channel, so a process parking on any shard hands the baton back
-	// to the coordinator stepping the set.
+	// finds no more events to fire.
 	main  chan struct{}
 	procs map[*Proc]struct{}
+	// procSeq numbers processes in creation order so shutdown can kill
+	// still-parked processes deterministically.
+	procSeq uint64
 	// fired counts events that actually ran (cancelled ones excluded) —
 	// the numerator of the events/sec benchmark metric.
 	fired   uint64
 	running bool
 	stopped bool
-	// stepped puts the kernel under external single-step control
-	// (ProcessNextEvent): a parking or exiting process hands the baton
-	// straight back on main instead of dispatching further events itself,
-	// because the next event to fire may belong to a different kernel of
-	// the shard set.
-	stepped bool
-	// limit is the RunUntil horizon: dispatch refuses to fire events at or
-	// past it. noLimit for a plain Run.
-	limit time.Duration
 }
 
 // NewKernel returns a kernel with the clock at zero and an empty event queue.
 func NewKernel() *Kernel {
 	return &Kernel{
-		st:    &kstate{},
 		main:  make(chan struct{}, 1),
 		procs: make(map[*Proc]struct{}),
-		limit: noLimit,
 	}
 }
 
 // Now returns the current virtual time (duration since simulation start).
-func (k *Kernel) Now() time.Duration { return k.st.now }
+func (k *Kernel) Now() time.Duration { return k.now }
 
 // event is the kernel-internal representation of a scheduled callback. The
 // struct is recycled through the kernel free list once fired or compacted
@@ -164,11 +139,11 @@ func (ev Event) Reschedule(at time.Duration) {
 		panic("sim: Reschedule of inactive event")
 	}
 	k := ev.k
-	if at < k.st.now {
-		panic(fmt.Sprintf("sim: rescheduling event at %v before now %v", at, k.st.now))
+	if at < k.now {
+		panic(fmt.Sprintf("sim: rescheduling event at %v before now %v", at, k.now))
 	}
-	e.seq = k.st.seq
-	k.st.seq++
+	e.seq = k.seq
+	k.seq++
 	e.at = at
 	if e.index <= -2 {
 		// Leaving the ring: abandon the slot (popping skips nils) and
@@ -184,8 +159,8 @@ func (ev Event) Reschedule(at time.Duration) {
 // newEvent takes an event struct from the free list (or allocates one) and
 // schedules it.
 func (k *Kernel) newEvent(at time.Duration, fn func(), proc *Proc, every time.Duration) *event {
-	if at < k.st.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, k.st.now))
+	if at < k.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, k.now))
 	}
 	e := k.free
 	if e != nil {
@@ -195,8 +170,8 @@ func (k *Kernel) newEvent(at time.Duration, fn func(), proc *Proc, every time.Du
 		e = &event{}
 	}
 	e.at = at
-	e.seq = k.st.seq
-	k.st.seq++
+	e.seq = k.seq
+	k.seq++
 	e.fn = fn
 	e.proc = proc
 	e.every = every
@@ -208,7 +183,7 @@ func (k *Kernel) newEvent(at time.Duration, fn func(), proc *Proc, every time.Du
 // enqueue routes an event to the ring (scheduled at the current instant,
 // where its fresh seq keeps the ring sorted by construction) or the heap.
 func (k *Kernel) enqueue(e *event) {
-	if e.at == k.st.now {
+	if e.at == k.now {
 		e.index = int32(-2 - len(k.ring))
 		k.ring = append(k.ring, e)
 		return
@@ -265,7 +240,7 @@ func (k *Kernel) After(d time.Duration, fn func()) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return k.At(k.st.now+d, fn)
+	return k.At(k.now+d, fn)
 }
 
 // Every schedules fn to run every d of virtual time, first at now+d. The
@@ -277,14 +252,14 @@ func (k *Kernel) Every(d time.Duration, fn func()) Event {
 	if d <= 0 {
 		panic(fmt.Sprintf("sim: non-positive period %v", d))
 	}
-	e := k.newEvent(k.st.now+d, fn, nil, d)
+	e := k.newEvent(k.now+d, fn, nil, d)
 	return Event{k: k, e: e, gen: e.gen}
 }
 
 // afterProc schedules a direct process resume d from now — the Sleep /
 // Signal / Go hot path, which needs no closure.
 func (k *Kernel) afterProc(d time.Duration, p *Proc) *event {
-	return k.newEvent(k.st.now+d, nil, p, 0)
+	return k.newEvent(k.now+d, nil, p, 0)
 }
 
 // Run fires events in timestamp order (FIFO among equal timestamps) until the
@@ -318,35 +293,18 @@ func (k *Kernel) Run() {
 // passes the baton on and returns without ever blocking.
 func (k *Kernel) dispatch(self *Proc, exiting bool) {
 	for !k.stopped {
-		if k.stepped {
-			// Under single-step control (ProcessNextEvent) the coordinator
-			// fires events; a parking or exiting process only hands the
-			// baton back.
+		e := k.nextEvent()
+		if e == nil {
 			break
 		}
-		var e *event
-		if k.limit != noLimit {
-			// RunUntil horizon: peek first so events at or past the limit
-			// stay queued for the next window.
-			e = k.peekLive()
-			if e == nil || e.at >= k.limit {
-				break
-			}
-			k.popPeeked(e)
-		} else {
-			e = k.nextEvent()
-			if e == nil {
-				break
-			}
-			if e.cancelled {
-				k.recycle(e)
-				continue
-			}
+		if e.cancelled {
+			k.recycle(e)
+			continue
 		}
-		if e.at < k.st.now {
+		if e.at < k.now {
 			panic("sim: event queue went backwards")
 		}
-		k.st.now = e.at
+		k.now = e.at
 		k.fired++
 		switch {
 		case e.proc != nil:
@@ -376,8 +334,8 @@ func (k *Kernel) dispatch(self *Proc, exiting bool) {
 				// Reschedule in place with a fresh seq, after fn so
 				// anything fn scheduled at the next tick fires first.
 				e.at += e.every
-				e.seq = k.st.seq
-				k.st.seq++
+				e.seq = k.seq
+				k.seq++
 				k.events.push(e)
 			}
 		default:
@@ -395,140 +353,6 @@ func (k *Kernel) dispatch(self *Proc, exiting bool) {
 	if !exiting {
 		<-self.resume
 	}
-}
-
-// HasPendingEvents reports whether any live (non-cancelled) event remains
-// queued — the emptiness step primitive for shard coordinators.
-func (k *Kernel) HasPendingEvents() bool { return k.peekLive() != nil }
-
-// PeekNextEventTime returns the virtual time of the next event this kernel
-// would fire, without firing it. The second result is false when no live
-// event is queued. Shard coordinators use it to pick the globally earliest
-// kernel (merged mode) and to derive the next lookahead window (windowed
-// mode).
-func (k *Kernel) PeekNextEventTime() (time.Duration, bool) {
-	e := k.peekLive()
-	if e == nil {
-		return 0, false
-	}
-	return e.at, true
-}
-
-// ProcessNextEvent fires exactly one event — the kernel's (time, seq)
-// minimum — and reports whether one fired. It is the single-step primitive
-// under a shard coordinator. The kernel must be in stepped mode (ShardSet
-// arranges this): a process resumed by the event hands the baton straight
-// back on the shared main channel instead of dispatching further events,
-// which may belong to a sibling kernel.
-func (k *Kernel) ProcessNextEvent() bool {
-	e := k.peekLive()
-	if e == nil {
-		return false
-	}
-	k.popPeeked(e)
-	if e.at < k.st.now {
-		panic("sim: event queue went backwards")
-	}
-	k.st.now = e.at
-	k.fired++
-	switch {
-	case e.proc != nil:
-		q := e.proc
-		k.recycle(e)
-		q.resume <- struct{}{}
-		// The resumed process parks or exits and hands the baton back on
-		// the (shared) main channel; q may belong to any kernel of the set.
-		<-k.main
-	case e.every > 0:
-		e.fn()
-		if e.cancelled {
-			k.recycle(e)
-		} else {
-			e.at += e.every
-			e.seq = k.st.seq
-			k.st.seq++
-			k.events.push(e)
-		}
-	default:
-		fn := e.fn
-		k.recycle(e)
-		fn()
-	}
-	return true
-}
-
-// RunUntil fires events in (time, seq) order until no event strictly before
-// limit remains, or Stop is called. Unlike Run it does not shut the kernel
-// down: parked processes stay parked and the clock stays wherever the last
-// event left it, ready for the next window. It is the windowed-mode shard
-// primitive — the coordinator picks a horizon no shard may cross and lets
-// every shard dispatch freely (full baton machinery, no per-event
-// coordination) up to it.
-func (k *Kernel) RunUntil(limit time.Duration) {
-	if k.running {
-		panic("sim: RunUntil called re-entrantly")
-	}
-	k.running = true
-	k.limit = limit
-	k.dispatch(nil, false)
-	k.limit = noLimit
-	k.running = false
-}
-
-// peekLive returns the next live event — the (time, seq) minimum across the
-// ring fast lane and the heap — without removing it, or nil when none is
-// queued. Cancelled corpses encountered at either front are popped and
-// recycled along the way, so a returned event is always live and is exactly
-// what nextEvent would pop next.
-func (k *Kernel) peekLive() *event {
-	for {
-		for k.ringHead < len(k.ring) && k.ring[k.ringHead] == nil {
-			k.ringHead++
-			k.ringDead--
-		}
-		var r *event
-		if k.ringHead < len(k.ring) {
-			r = k.ring[k.ringHead]
-		} else if k.ringHead > 0 {
-			k.ring = k.ring[:0]
-			k.ringHead = 0
-		}
-		if r != nil && r.cancelled {
-			k.ringHead++
-			k.ringDead--
-			r.index = -1
-			k.recycle(r)
-			continue
-		}
-		for len(k.events) > 0 && k.events[0].cancelled {
-			k.dead--
-			k.recycle(k.events.pop())
-		}
-		var h *event
-		if len(k.events) > 0 {
-			h = k.events[0]
-		}
-		switch {
-		case r == nil:
-			return h
-		case h == nil || !eventLess(h, r):
-			// Ring wins ties, matching nextEvent's preference.
-			return r
-		default:
-			return h
-		}
-	}
-}
-
-// popPeeked removes the event peekLive just returned — by construction the
-// head of the ring or the top of the heap.
-func (k *Kernel) popPeeked(e *event) {
-	if e.index <= -2 {
-		k.ringHead++
-		e.index = -1
-		return
-	}
-	k.events.pop()
 }
 
 // nextEvent pops the globally next event — the (time, seq) minimum across
@@ -620,8 +444,8 @@ type killed struct{}
 // Go spawns a new process running fn. The process starts at the current
 // virtual time, after already-scheduled events at this timestamp.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, seq: k.st.procSeq, resume: make(chan struct{}, 1)}
-	k.st.procSeq++
+	p := &Proc{k: k, name: name, seq: k.procSeq, resume: make(chan struct{}, 1)}
+	k.procSeq++
 	k.procs[p] = struct{}{}
 	go func() {
 		defer func() {
@@ -656,7 +480,7 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the current virtual time.
-func (p *Proc) Now() time.Duration { return p.k.st.now }
+func (p *Proc) Now() time.Duration { return p.k.now }
 
 // park blocks the process until some event resumes it. The parking
 // goroutine takes over event dispatch (see dispatch), so a process that is

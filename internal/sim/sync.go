@@ -100,15 +100,6 @@ func (m *Mailbox[T]) Send(d time.Duration, msg T) {
 	})
 }
 
-// Put enqueues msg at the current instant — the arrival half of Send
-// without the latency half. Shard coordinators use it to inject a
-// cross-shard message whose transmission delay was already served on the
-// sending shard's side of the lookahead barrier.
-func (m *Mailbox[T]) Put(msg T) {
-	m.queue = append(m.queue, msg)
-	m.arrive.Notify()
-}
-
 // Recv dequeues the next message, parking p until one is available.
 func (m *Mailbox[T]) Recv(p *Proc) T {
 	for len(m.queue) == 0 {
