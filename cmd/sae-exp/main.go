@@ -8,7 +8,9 @@
 // With no arguments it runs every experiment in order. Valid experiment IDs
 // are table1, table2 and fig1 … fig12 plus the extension experiments
 // (sae-exp -list, which also enumerates the committed scenarios/*.yaml
-// specs). -parallel N fans the sweep out over N worker goroutines;
+// specs). The faults, grayfail, multitenant and autoscale extensions are
+// those committed specs, embedded in the binary, run against the flags'
+// setup. -parallel N fans the sweep out over N worker goroutines;
 // each run owns its own simulation kernel, and results are printed in
 // submission order, so the output is identical to a sequential sweep.
 //
@@ -16,8 +18,7 @@
 // they run through the same worker pool and -csv export as the built-in
 // experiments. The spec's cluster block supplies scale/nodes/seed; -scale,
 // -nodes and -seed override it only when given explicitly on the command
-// line, so `sae-exp -scale 0.05 -seed 7 -scenario scenarios/autoscale.yaml`
-// is byte-identical to `sae-exp -scale 0.05 -seed 7 autoscale`.
+// line.
 //
 // -audit attaches the invariant audit plane (internal/invariant) to every
 // run in the sweep. The auditor accumulates sequential per-run state, so
@@ -32,6 +33,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -43,6 +45,7 @@ import (
 	"sae/internal/invariant"
 	"sae/internal/prof"
 	"sae/internal/scenario"
+	"sae/scenarios"
 )
 
 func main() {
@@ -203,11 +206,13 @@ func checkFlags(nodes int, scale float64, parallel int) error {
 	return nil
 }
 
-// listScenarios appends the committed scenario specs to the -list output.
+// listScenarios appends the committed scenario specs, as embedded in the
+// binary, to the -list output.
 func listScenarios() {
-	paths, _ := filepath.Glob(filepath.Join("scenarios", "*.yaml"))
-	for _, path := range paths {
-		sp, err := scenario.Load(path)
+	names, _ := fs.Glob(scenarios.FS, "*.yaml")
+	for _, name := range names {
+		path := "scenarios/" + name
+		sp, err := scenario.Builtin(strings.TrimSuffix(name, ".yaml"))
 		if err != nil {
 			fmt.Printf("%-12s (invalid: %v)\n", path, err)
 			continue

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"io"
+	"os"
 	"strings"
 	"testing"
 )
@@ -8,6 +10,31 @@ import (
 func TestListExperiments(t *testing.T) {
 	if err := run([]string{"-list"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestListScenariosAnyDirectory checks -list enumerates the committed specs
+// from the binary, not from a scenarios/ directory under the working
+// directory.
+func TestListScenariosAnyDirectory(t *testing.T) {
+	t.Chdir(t.TempDir())
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	err = run([]string{"-list"})
+	os.Stdout = stdout
+	w.Close()
+	out, _ := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"autoscale", "faults", "grayfail", "multitenant", "terasort-crash"} {
+		if !strings.Contains(string(out), "scenarios/"+name+".yaml ") {
+			t.Errorf("-list output does not list scenarios/%s.yaml:\n%s", name, out)
+		}
 	}
 }
 

@@ -202,7 +202,7 @@ func run(args []string) error {
 	if *faults != "" {
 		plan, err := sae.ParseFaults(*faults)
 		if err != nil {
-			return err
+			return fmt.Errorf("-faults: %w", err)
 		}
 		setup = setup.WithFaults(plan)
 	}

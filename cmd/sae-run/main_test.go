@@ -54,6 +54,9 @@ func TestRunErrors(t *testing.T) {
 		{[]string{"-policy", "static", "-threads", "0"}, "-threads"},
 		{[]string{"-policy", "static", "-threads", "-4"}, "-threads"},
 		{[]string{"-conf", "executor.cores=0"}, "executor.cores"},
+		{[]string{"-scale", "0.02", "-faults", "crash@-5s"}, "-faults"},
+		{[]string{"-scale", "0.02", "-faults", "crash-1@5s"}, "-faults"},
+		{[]string{"-scale", "0.02", "-faults", "flaky:0"}, "-faults"},
 	}
 	for _, c := range cases {
 		err := run(c.args)

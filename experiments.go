@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sae/internal/exp"
+	"sae/internal/scenario"
 )
 
 // Experiment identifies one reproducible table or figure of the paper.
@@ -128,21 +129,28 @@ func Experiments() map[string]Experiment {
 		},
 		"faults": {
 			ID: "faults", Title: "Terasort under chaos schedules (fault-tolerance extension)",
-			Run: func(s Setup) (fmt.Stringer, error) { return exp.Faults(s) },
+			Run: builtin("faults"),
 		},
 		"grayfail": {
 			ID: "grayfail", Title: "Terasort under gray failures — slow node, partition, corrupt replicas (robustness extension)",
-			Run: func(s Setup) (fmt.Stringer, error) { return exp.GrayFail(s) },
+			Run: builtin("grayfail"),
 		},
 		"multitenant": {
 			ID: "multitenant", Title: "Concurrent job mixes under FIFO/FAIR (multi-tenancy extension)",
-			Run: func(s Setup) (fmt.Stringer, error) { return exp.MultiTenant(s) },
+			Run: builtin("multitenant"),
 		},
 		"autoscale": {
 			ID: "autoscale", Title: "Open-loop arrivals under static vs elastic provisioning (elasticity extension)",
-			Run: func(s Setup) (fmt.Stringer, error) { return exp.Autoscale(s) },
+			Run: builtin("autoscale"),
 		},
 	}
+}
+
+// builtin runs the committed scenario spec named id against the caller's
+// setup. The spec is parsed when the experiment runs, not when the index
+// is built.
+func builtin(id string) func(Setup) (fmt.Stringer, error) {
+	return func(s Setup) (fmt.Stringer, error) { return scenario.RunBuiltin(id, s) }
 }
 
 // ExperimentIDs lists valid experiment IDs in presentation order.

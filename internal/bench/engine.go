@@ -7,6 +7,7 @@ import (
 	"sae/internal/core"
 	"sae/internal/engine"
 	"sae/internal/exp"
+	"sae/internal/scenario"
 	"sae/internal/workloads"
 )
 
@@ -48,7 +49,7 @@ func EngineTerasort(b *testing.B) {
 // behind the `sae-exp grayfail` wall-clock acceptance number.
 func EngineGrayFail(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.GrayFail(exp.Default()); err != nil {
+		if _, err := scenario.RunBuiltin("grayfail", exp.Default()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,7 +59,7 @@ func EngineGrayFail(b *testing.B) {
 // mixes under FIFO/FAIR with default and dynamic sizing).
 func EngineMultiTenant(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.MultiTenant(exp.Default()); err != nil {
+		if _, err := scenario.RunBuiltin("multitenant", exp.Default()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,6 +11,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -349,200 +350,272 @@ func splitmix(x uint64) uint64 {
 //	                      low-rate task and fetch faults
 //	seed:N                hash seed (default 1)
 //
-// Example: "crash1@2m+30s,flaky:0.02,seed:7" or
-// "slow:1@60sx4,partition:2@90s+45s,corrupt:0.02". Parse returns nil for
-// the quiet plan.
+// The executor number may follow the clause name directly or after a ':'
+// (crash1@…, slow:1@…). Times, delays and durations are non-negative, a
+// partition lasts a positive time, a slowdown factor is positive and
+// finite, and a rate lies in (0, 1]; anything else is rejected with an
+// error naming the clause. Example: "crash1@2m+30s,flaky:0.02,seed:7" or
+// "slow:1@60sx4,partition:2@90s+45s,corrupt:0.02". Percentage times are
+// ParseSchedule's alone. The plan is named by the spec string. Parse
+// returns nil for the quiet plan.
 func Parse(spec string) (*Plan, error) {
+	cs, err := parseClauses(spec, false)
+	if err != nil || cs == nil {
+		return nil, err
+	}
+	return combine(strings.TrimSpace(spec), cs, 0), nil
+}
+
+// ParseSchedule parses one schedule of a chaos matrix. It accepts the Parse
+// grammar plus percentage times ("crash1@45%"): a percentage is a fraction
+// of the policy's quiet runtime, resolved as quiet*pct/100 on nanoseconds
+// once a calibration run has measured it. A single-clause schedule is built
+// by its constructor (CrashAt, SlowAt, Flaky, …), so it is named by that
+// constructor ("crash1@1m8.04s") and its rates are seeded by the cluster
+// seed passed to the returned function; a comma-separated schedule is built
+// as Parse builds it. The returned function yields nil for the quiet
+// schedule.
+func ParseSchedule(spec string) (func(quiet time.Duration, seed int64) *Plan, error) {
+	cs, err := parseClauses(spec, true)
+	switch {
+	case err != nil:
+		return nil, err
+	case cs == nil:
+		return func(time.Duration, int64) *Plan { return nil }, nil
+	case !strings.Contains(spec, ",") && cs[0].kind != "seed":
+		return cs[0].plan, nil
+	}
+	spec = strings.TrimSpace(spec)
+	return func(quiet time.Duration, _ int64) *Plan { return combine(spec, cs, quiet) }, nil
+}
+
+// clause is one parsed clause of a spec.
+type clause struct {
+	kind   string // crash, slow, partition, flaky, fetch, corrupt, mayhem or seed
+	exec   int
+	at     instant // crash, slowdown or partition start; mayhem horizon
+	span   instant // restart delay or partition duration
+	spans  bool    // a crash clause carries a restart delay
+	factor float64
+	rate   float64
+	seed   int64
+}
+
+// instant is a clause time: a duration, or a percentage of the quiet
+// runtime.
+type instant struct {
+	d     time.Duration
+	pct   int64
+	isPct bool
+}
+
+func (t instant) resolve(quiet time.Duration) time.Duration {
+	if t.isPct {
+		return quiet * time.Duration(t.pct) / 100
+	}
+	return t.d
+}
+
+// plan builds the clause's plan through its constructor.
+func (c clause) plan(quiet time.Duration, seed int64) *Plan {
+	switch c.kind {
+	case "crash":
+		if c.spans {
+			return CrashRestart(c.exec, c.at.resolve(quiet), c.span.resolve(quiet))
+		}
+		return CrashAt(c.exec, c.at.resolve(quiet))
+	case "slow":
+		return SlowAt(c.exec, c.at.resolve(quiet), c.factor)
+	case "partition":
+		return PartitionAt(c.exec, c.at.resolve(quiet), c.span.resolve(quiet))
+	case "flaky":
+		return Flaky(c.rate, seed)
+	case "fetch":
+		return FetchStorm(c.rate, seed)
+	case "corrupt":
+		return Corrupt(c.rate, seed)
+	case "mayhem":
+		return Mayhem(c.at.resolve(quiet), seed)
+	}
+	return &Plan{} // seed clauses inject nothing
+}
+
+// combine merges the clauses' plans into one plan named by the spec and
+// seeded by its seed clause (default 1).
+func combine(spec string, cs []clause, quiet time.Duration) *Plan {
+	p := &Plan{Name: spec, Seed: 1}
+	for _, c := range cs {
+		if c.kind == "seed" {
+			p.Seed = c.seed
+			continue
+		}
+		q := c.plan(quiet, p.Seed)
+		p.Crashes = append(p.Crashes, q.Crashes...)
+		p.Slows = append(p.Slows, q.Slows...)
+		p.Partitions = append(p.Partitions, q.Partitions...)
+		if q.TaskFaultRate > 0 {
+			p.TaskFaultRate = q.TaskFaultRate
+		}
+		if q.FetchFaultRate > 0 {
+			p.FetchFaultRate = q.FetchFaultRate
+		}
+		if q.CorruptRate > 0 {
+			p.CorruptRate = q.CorruptRate
+		}
+	}
+	return p
+}
+
+// parseClauses splits a spec into validated clauses, returning nil for the
+// quiet spec. pct admits percentage times.
+func parseClauses(spec string, pct bool) ([]clause, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" || spec == "quiet" || spec == "none" {
 		return nil, nil
 	}
-	p := &Plan{Name: spec, Seed: 1}
-	for _, clause := range strings.Split(spec, ",") {
-		clause = strings.TrimSpace(clause)
-		if clause == "" {
+	var cs []clause
+	for _, text := range strings.Split(spec, ",") {
+		text = strings.TrimSpace(text)
+		if text == "" {
 			continue
 		}
-		switch {
-		case strings.HasPrefix(clause, "crash"):
-			c, err := parseCrash(clause)
-			if err != nil {
-				return nil, err
-			}
-			p.Crashes = append(p.Crashes, c)
-		case strings.HasPrefix(clause, "slow"):
-			s, err := parseSlow(clause)
-			if err != nil {
-				return nil, err
-			}
-			p.Slows = append(p.Slows, s)
-		case strings.HasPrefix(clause, "partition"):
-			w, err := parsePartition(clause)
-			if err != nil {
-				return nil, err
-			}
-			p.Partitions = append(p.Partitions, w)
-		case strings.HasPrefix(clause, "corrupt"):
-			rate, err := parseRate(clause, "corrupt", 0.01)
-			if err != nil {
-				return nil, err
-			}
-			p.CorruptRate = rate
-		case strings.HasPrefix(clause, "flaky"):
-			rate, err := parseRate(clause, "flaky", 0.05)
-			if err != nil {
-				return nil, err
-			}
-			p.TaskFaultRate = rate
-		case strings.HasPrefix(clause, "fetch"):
-			rate, err := parseRate(clause, "fetch", 0.1)
-			if err != nil {
-				return nil, err
-			}
-			p.FetchFaultRate = rate
-		case strings.HasPrefix(clause, "mayhem@"):
-			horizon, err := time.ParseDuration(clause[len("mayhem@"):])
-			if err != nil {
-				return nil, fmt.Errorf("chaos: clause %q: %w", clause, err)
-			}
-			m := Mayhem(horizon, p.Seed)
-			p.Crashes = append(p.Crashes, m.Crashes...)
-			p.TaskFaultRate = m.TaskFaultRate
-			p.FetchFaultRate = m.FetchFaultRate
-		case strings.HasPrefix(clause, "seed:"):
-			n, err := strconv.ParseInt(clause[len("seed:"):], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("chaos: clause %q: %w", clause, err)
-			}
-			p.Seed = n
-		default:
-			return nil, fmt.Errorf("chaos: unknown clause %q", clause)
+		c, err := parseClause(text, pct)
+		if err != nil {
+			return nil, err
 		}
+		cs = append(cs, c)
 	}
-	return p, nil
+	if cs == nil {
+		return nil, fmt.Errorf("chaos: spec %q has no clauses", spec)
+	}
+	return cs, nil
 }
 
-// parseCrash parses "crash[N]@T[+R]".
-func parseCrash(clause string) (Crash, error) {
-	rest := clause[len("crash"):]
-	at := strings.IndexByte(rest, '@')
-	if at < 0 {
-		return Crash{}, fmt.Errorf("chaos: clause %q: want crash[N]@T[+R]", clause)
+// defaultRates are the rates of rate clauses given without one.
+var defaultRates = map[string]float64{"flaky": 0.05, "fetch": 0.1, "corrupt": 0.01}
+
+func parseClause(text string, pct bool) (clause, error) {
+	bad := func(format string, args ...any) (clause, error) {
+		return clause{}, fmt.Errorf("chaos clause %q: %s", text, fmt.Sprintf(format, args...))
 	}
-	c := Crash{Exec: 1}
-	if at > 0 {
-		n, err := strconv.Atoi(rest[:at])
-		if err != nil {
-			return Crash{}, fmt.Errorf("chaos: clause %q: bad executor: %w", clause, err)
+	c := clause{exec: 1, factor: 2}
+	for _, kind := range []string{"crash", "slow", "partition", "flaky", "fetch", "corrupt", "mayhem", "seed"} {
+		if strings.HasPrefix(text, kind) {
+			c.kind = kind
+			break
 		}
-		c.Exec = n
 	}
-	times := rest[at+1:]
-	if plus := strings.IndexByte(times, '+'); plus >= 0 {
-		d, err := time.ParseDuration(times[plus+1:])
-		if err != nil {
-			return Crash{}, fmt.Errorf("chaos: clause %q: bad restart delay: %w", clause, err)
+	rest := strings.TrimPrefix(text, c.kind)
+	switch c.kind {
+	case "flaky", "fetch", "corrupt":
+		c.rate = defaultRates[c.kind]
+		if rest == "" {
+			return c, nil
 		}
-		c.RestartAfter = d
-		times = times[:plus]
+		if !strings.HasPrefix(rest, ":") {
+			break
+		}
+		r, err := strconv.ParseFloat(rest[1:], 64)
+		if err != nil || !(r > 0 && r <= 1) {
+			return bad("bad rate %q (want a fraction in (0, 1])", rest[1:])
+		}
+		c.rate = r
+		return c, nil
+	case "seed":
+		if !strings.HasPrefix(rest, ":") {
+			break
+		}
+		n, err := strconv.ParseInt(rest[1:], 10, 64)
+		if err != nil {
+			return bad("bad seed %q", rest[1:])
+		}
+		c.seed = n
+		return c, nil
+	case "mayhem":
+		if !strings.HasPrefix(rest, "@") {
+			break
+		}
+		var err error
+		if c.at, err = parseInstant(rest[1:], pct); err != nil {
+			return bad("bad horizon: %v", err)
+		}
+		return c, nil
+	case "crash", "slow", "partition":
+		rest = strings.TrimPrefix(rest, ":")
+		at := strings.IndexByte(rest, '@')
+		if at < 0 {
+			return bad("missing @T")
+		}
+		if at > 0 {
+			n, err := strconv.Atoi(rest[:at])
+			if err != nil || n < 0 {
+				return bad("bad executor %q (want a non-negative integer)", rest[:at])
+			}
+			c.exec = n
+		}
+		times := rest[at+1:]
+		var err error
+		switch c.kind {
+		case "slow":
+			if x := strings.IndexByte(times, 'x'); x >= 0 {
+				f, err := strconv.ParseFloat(times[x+1:], 64)
+				if err != nil || !(f > 0) || math.IsInf(f, 1) {
+					return bad("bad factor %q (want a positive number)", times[x+1:])
+				}
+				c.factor = f
+				times = times[:x]
+			}
+		case "partition":
+			plus := strings.IndexByte(times, '+')
+			if plus < 0 {
+				return bad("want partition[N]@T+D")
+			}
+			if c.span, err = parseInstant(times[plus+1:], pct); err != nil {
+				return bad("bad duration: %v", err)
+			}
+			if c.span.d == 0 && c.span.pct == 0 {
+				return bad("duration must be positive")
+			}
+			times = times[:plus]
+		case "crash":
+			if plus := strings.IndexByte(times, '+'); plus >= 0 {
+				if c.span, err = parseInstant(times[plus+1:], pct); err != nil {
+					return bad("bad restart delay: %v", err)
+				}
+				c.spans = true
+				times = times[:plus]
+			}
+		}
+		if c.at, err = parseInstant(times, pct); err != nil {
+			return bad("bad time: %v", err)
+		}
+		return c, nil
 	}
-	d, err := time.ParseDuration(times)
-	if err != nil {
-		return Crash{}, fmt.Errorf("chaos: clause %q: bad crash time: %w", clause, err)
-	}
-	c.At = d
-	return c, nil
+	return clause{}, fmt.Errorf("unknown chaos clause %q (want quiet, crash[N]@T[+R], slow[N]@TxF, partition[N]@T+D, flaky[:RATE], fetch[:RATE], corrupt[:RATE], mayhem@T or seed:N)", text)
 }
 
-// parseSlow parses "slow[:N]@TxF" (executor defaults to 1, factor to 2).
-func parseSlow(clause string) (Slow, error) {
-	rest := strings.TrimPrefix(clause, "slow")
-	rest = strings.TrimPrefix(rest, ":")
-	at := strings.IndexByte(rest, '@')
-	if at < 0 {
-		return Slow{}, fmt.Errorf("chaos: clause %q: want slow:N@TxF", clause)
-	}
-	s := Slow{Exec: 1, Factor: 2}
-	if at > 0 {
-		n, err := strconv.Atoi(rest[:at])
-		if err != nil {
-			return Slow{}, fmt.Errorf("chaos: clause %q: bad executor: %w", clause, err)
+// parseInstant parses a non-negative duration ("45s") or, when pct is set,
+// a percentage of the quiet runtime ("45%").
+func parseInstant(s string, pct bool) (instant, error) {
+	if n, ok := strings.CutSuffix(s, "%"); ok {
+		if !pct {
+			return instant{}, fmt.Errorf("percentage %q needs a quiet calibration run, which only chaos-matrix schedules have", s)
 		}
-		s.Exec = n
-	}
-	times := rest[at+1:]
-	if x := strings.IndexByte(times, 'x'); x >= 0 {
-		f, err := strconv.ParseFloat(times[x+1:], 64)
-		if err != nil {
-			return Slow{}, fmt.Errorf("chaos: clause %q: bad factor: %w", clause, err)
+		p, err := strconv.ParseInt(n, 10, 64)
+		if err != nil || p < 0 {
+			return instant{}, fmt.Errorf("%q is not a percentage (want e.g. 45%%)", s)
 		}
-		if f <= 0 {
-			return Slow{}, fmt.Errorf("chaos: clause %q: factor must be positive", clause)
+		if p > 100 {
+			return instant{}, fmt.Errorf("percentage %q is out of range (times are fractions of the quiet runtime; want 0%%-100%%)", s)
 		}
-		s.Factor = f
-		times = times[:x]
+		return instant{pct: p, isPct: true}, nil
 	}
-	d, err := time.ParseDuration(times)
+	d, err := time.ParseDuration(s)
 	if err != nil {
-		return Slow{}, fmt.Errorf("chaos: clause %q: bad time: %w", clause, err)
+		return instant{}, fmt.Errorf("%q is not a duration", s)
 	}
-	s.At = d
-	return s, nil
-}
-
-// parsePartition parses "partition[:N]@T+D" (executor defaults to 1; the
-// window duration D is required — a permanent partition is spelled crash).
-func parsePartition(clause string) (Partition, error) {
-	rest := strings.TrimPrefix(clause, "partition")
-	rest = strings.TrimPrefix(rest, ":")
-	at := strings.IndexByte(rest, '@')
-	if at < 0 {
-		return Partition{}, fmt.Errorf("chaos: clause %q: want partition:N@T+D", clause)
+	if d < 0 {
+		return instant{}, fmt.Errorf("%q is negative", s)
 	}
-	w := Partition{Exec: 1}
-	if at > 0 {
-		n, err := strconv.Atoi(rest[:at])
-		if err != nil {
-			return Partition{}, fmt.Errorf("chaos: clause %q: bad executor: %w", clause, err)
-		}
-		w.Exec = n
-	}
-	times := rest[at+1:]
-	plus := strings.IndexByte(times, '+')
-	if plus < 0 {
-		return Partition{}, fmt.Errorf("chaos: clause %q: want partition:N@T+D", clause)
-	}
-	dur, err := time.ParseDuration(times[plus+1:])
-	if err != nil {
-		return Partition{}, fmt.Errorf("chaos: clause %q: bad duration: %w", clause, err)
-	}
-	if dur <= 0 {
-		return Partition{}, fmt.Errorf("chaos: clause %q: duration must be positive", clause)
-	}
-	w.Duration = dur
-	d, err := time.ParseDuration(times[:plus])
-	if err != nil {
-		return Partition{}, fmt.Errorf("chaos: clause %q: bad start time: %w", clause, err)
-	}
-	w.At = d
-	return w, nil
-}
-
-// parseRate parses "name" or "name:RATE".
-func parseRate(clause, name string, def float64) (float64, error) {
-	rest := clause[len(name):]
-	if rest == "" {
-		return def, nil
-	}
-	if !strings.HasPrefix(rest, ":") {
-		return 0, fmt.Errorf("chaos: unknown clause %q", clause)
-	}
-	rate, err := strconv.ParseFloat(rest[1:], 64)
-	if err != nil {
-		return 0, fmt.Errorf("chaos: clause %q: %w", clause, err)
-	}
-	if rate < 0 || rate > 1 {
-		return 0, fmt.Errorf("chaos: clause %q: rate out of [0,1]", clause)
-	}
-	return rate, nil
+	return instant{d: d}, nil
 }

@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -81,6 +83,106 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted", spec)
 		}
+	}
+}
+
+// TestParseRejectsBadValues checks every value the engine would panic on
+// or silently coerce is rejected, with an error naming the clause.
+func TestParseRejectsBadValues(t *testing.T) {
+	for _, c := range []struct{ spec, clause string }{
+		{"crash@-5s", "crash@-5s"},
+		{"crash1@-5s", "crash1@-5s"},
+		{"crash-1@5s", "crash-1@5s"},
+		{"crash1@5s+-3s", "crash1@5s+-3s"},
+		{"slow:-2@5sx4", "slow:-2@5sx4"},
+		{"slow@-1s", "slow@-1s"},
+		{"slow@1sxNaN", "slow@1sxNaN"},
+		{"slow@1sx+Inf", "slow@1sx+Inf"},
+		{"partition@-1s+5s", "partition@-1s+5s"},
+		{"partition-1@1s+5s", "partition-1@1s+5s"},
+		{"mayhem@-10s", "mayhem@-10s"},
+		{"flaky:0", "flaky:0"},
+		{"fetch:0", "fetch:0"},
+		{"corrupt:0", "corrupt:0"},
+		{"flaky:NaN", "flaky:NaN"},
+		{"flaky:-0.1", "flaky:-0.1"},
+		{"crash1@45%", "crash1@45%"},
+		{"seed:3,crash@-5s", "crash@-5s"},
+		{",", ","},
+	} {
+		_, err := Parse(c.spec)
+		if err == nil {
+			t.Errorf("Parse(%q) accepted", c.spec)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.clause) {
+			t.Errorf("Parse(%q): error %q does not name the clause %q", c.spec, err, c.clause)
+		}
+	}
+}
+
+// TestParseSchedulePercentages checks percentages are a ParseSchedule-only
+// form, bounded to 0%-100%.
+func TestParseSchedulePercentages(t *testing.T) {
+	for _, spec := range []string{"crash1@45%", "crash1@0%+100%", "mayhem@80%", "slow1@25%x4,flaky"} {
+		if _, err := ParseSchedule(spec); err != nil {
+			t.Errorf("ParseSchedule(%q): %v", spec, err)
+		}
+	}
+	for _, spec := range []string{"crash1@101%", "crash1@-5%", "crash1@45%%", "partition1@25%+0%", "crash1@4.5%"} {
+		if _, err := ParseSchedule(spec); err == nil {
+			t.Errorf("ParseSchedule(%q) accepted", spec)
+		}
+	}
+}
+
+// TestPercentScheduleMath pins the percentage-time resolution to integer
+// math on nanoseconds (quiet*pct/100) and single-clause schedules to their
+// constructors, names and cluster seed included.
+func TestPercentScheduleMath(t *testing.T) {
+	quiet := 151200 * time.Millisecond
+	cases := []struct {
+		clause string
+		want   *Plan
+	}{
+		{"crash1@45%", CrashAt(1, quiet*45/100)},
+		{"crash1@45%+20%", CrashRestart(1, quiet*45/100, quiet*20/100)},
+		{"slow1@25%x4", SlowAt(1, quiet/4, 4)},
+		{"partition1@25%+20%", PartitionAt(1, quiet/4, quiet*20/100)},
+		{"flaky:0.02", Flaky(0.02, 7)},
+		{"corrupt:0.05", Corrupt(0.05, 7)},
+	}
+	for _, c := range cases {
+		gen, err := ParseSchedule(c.clause)
+		if err != nil {
+			t.Fatalf("%s: %v", c.clause, err)
+		}
+		got := gen(quiet, 7)
+		if got.String() != c.want.String() {
+			t.Errorf("%s: plan name %q, want %q", c.clause, got, c.want)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: plan differs from the constructor-built equivalent", c.clause)
+		}
+	}
+}
+
+// TestParseScheduleMultiClause checks a comma-separated schedule is built
+// as Parse builds it: named by the spec, seeded by its seed clause.
+func TestParseScheduleMultiClause(t *testing.T) {
+	const spec = "crash1@50%,flaky:0.02,seed:9"
+	gen, err := ParseSchedule(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := gen(100*time.Second, 7)
+	want := &Plan{Name: spec, Seed: 9, TaskFaultRate: 0.02,
+		Crashes: []Crash{{Exec: 1, At: 50 * time.Second}}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("plan = %+v, want %+v", got, want)
+	}
+	if gen, _ := ParseSchedule("quiet"); gen(time.Minute, 1) != nil {
+		t.Error("quiet schedule built a plan")
 	}
 }
 
@@ -254,6 +356,8 @@ func FuzzParsePlan(f *testing.F) {
 		"crash@1m+10s,flaky:0.02,fetch:0.04,seed:7",
 		"slow:1@60sx4,partition:2@90s+45s,corrupt:0.02",
 		"crash", "slow@10sx0", "partition@10s", "corrupt:2", "bogus", "seed:x",
+		"crash@-5s", "crash-1@5s", "slow:-2@5sx4", "crash1@5s+-3s", "flaky:0",
+		"mayhem@-10s", "crash1@45%", "slow1@25%x4", "partition1@25%+20%",
 	} {
 		f.Add(seed)
 	}
@@ -265,19 +369,10 @@ func FuzzParsePlan(f *testing.F) {
 		if p == nil {
 			return // quiet
 		}
-		for _, s := range p.Slows {
-			if s.Factor <= 0 {
-				t.Fatalf("Parse(%q) accepted non-positive slow factor %g", spec, s.Factor)
-			}
-		}
+		checkPlan(t, spec, p)
 		for _, w := range p.Partitions {
 			if w.Duration <= 0 {
 				t.Fatalf("Parse(%q) accepted non-positive partition duration %v", spec, w.Duration)
-			}
-		}
-		for _, rate := range []float64{p.TaskFaultRate, p.FetchFaultRate, p.CorruptRate} {
-			if rate < 0 || rate > 1 {
-				t.Fatalf("Parse(%q) accepted rate %g outside [0,1]", spec, rate)
 			}
 		}
 		q, err := Parse(p.Name)
@@ -288,4 +383,57 @@ func FuzzParsePlan(f *testing.F) {
 			t.Fatalf("re-parse of %q changed the plan: %q vs %q", spec, q, p)
 		}
 	})
+}
+
+// FuzzParseSchedule fuzzes the percentage entry point with a fuzzed quiet
+// runtime: it must never panic, must accept every spec Parse accepts, and
+// must build only plans whose times stay non-negative.
+func FuzzParseSchedule(f *testing.F) {
+	for _, seed := range []string{
+		"quiet", "crash1@45%", "crash1@45%+20%", "slow1@25%x4", "partition1@25%+20%",
+		"flaky:0.02", "corrupt:0.05", "mayhem@80%", "crash1@50%,flaky:0.02,seed:9",
+		"crash1@101%", "crash1@-5%", "partition1@25%+0%", "crash@-5s",
+	} {
+		f.Add(seed, int64(151200*time.Millisecond))
+	}
+	f.Fuzz(func(t *testing.T, spec string, q int64) {
+		gen, err := ParseSchedule(spec)
+		if err != nil {
+			if _, perr := Parse(spec); perr == nil {
+				t.Fatalf("ParseSchedule rejects %q, which Parse accepts: %v", spec, err)
+			}
+			return
+		}
+		// Quiet runtimes are non-negative and far below the 2^56 ns bound
+		// (over two years) that keeps quiet*pct from overflowing.
+		quiet := time.Duration(uint64(q) % (1 << 56))
+		if p := gen(quiet, 1); p != nil {
+			checkPlan(t, spec, p)
+		}
+	})
+}
+
+// checkPlan asserts an accepted plan is one the engine can run as written.
+func checkPlan(t *testing.T, spec string, p *Plan) {
+	t.Helper()
+	for _, c := range p.Crashes {
+		if c.At < 0 || c.RestartAfter < 0 || c.Exec < 0 {
+			t.Fatalf("%q: accepted crash %+v with a negative field", spec, c)
+		}
+	}
+	for _, s := range p.Slows {
+		if !(s.Factor > 0) || s.At < 0 || s.Exec < 0 {
+			t.Fatalf("%q: accepted slowdown %+v", spec, s)
+		}
+	}
+	for _, w := range p.Partitions {
+		if w.Duration < 0 || w.At < 0 || w.Exec < 0 {
+			t.Fatalf("%q: accepted partition %+v", spec, w)
+		}
+	}
+	for _, rate := range []float64{p.TaskFaultRate, p.FetchFaultRate, p.CorruptRate} {
+		if !(rate >= 0 && rate <= 1) {
+			t.Fatalf("%q: accepted rate %g outside [0,1]", spec, rate)
+		}
+	}
 }

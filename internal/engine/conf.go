@@ -26,19 +26,35 @@ func ApplyConfig(opts *Options, reg *conf.Registry) error {
 	if opts.BlockSize, err = reg.GetBytes("files.maxPartitionBytes"); err != nil {
 		return err
 	}
+	if opts.BlockSize <= 0 {
+		return fmt.Errorf("engine: files.maxPartitionBytes must be positive, got %d", opts.BlockSize)
+	}
 	overhead, err := reg.GetInt("executor.taskOverheadMillis")
 	if err != nil {
 		return err
 	}
-	opts.TaskOverheadCPUSeconds = float64(overhead) / 1000
+	switch {
+	case overhead < 0:
+		return fmt.Errorf("engine: executor.taskOverheadMillis must not be negative, got %d", overhead)
+	case overhead == 0:
+		opts.TaskOverheadCPUSeconds = -1 // no overhead
+	default:
+		opts.TaskOverheadCPUSeconds = float64(overhead) / 1000
+	}
 	if opts.TaskMaxFailures, err = reg.GetInt("task.maxFailures"); err != nil {
 		return err
+	}
+	if opts.TaskMaxFailures <= 0 {
+		return fmt.Errorf("engine: task.maxFailures must be positive, got %d", opts.TaskMaxFailures)
 	}
 	if opts.Speculation, err = reg.GetBool("speculation"); err != nil {
 		return err
 	}
 	if opts.SpeculationQuantile, err = reg.GetFloat("speculation.quantile"); err != nil {
 		return err
+	}
+	if !(opts.SpeculationQuantile > 0 && opts.SpeculationQuantile <= 1) {
+		return fmt.Errorf("engine: speculation.quantile must be in (0, 1], got %v", opts.SpeculationQuantile)
 	}
 	if opts.SpeculationMultiplier, err = reg.GetFloat("speculation.multiplier"); err != nil {
 		return err
@@ -62,9 +78,12 @@ func ApplyConfig(opts *Options, reg *conf.Registry) error {
 	if err != nil {
 		return err
 	}
-	if streak <= 0 {
+	switch {
+	case streak < 0:
+		return fmt.Errorf("engine: blacklist.stage.maxFailedTasksPerExecutor must not be negative, got %d", streak)
+	case streak == 0:
 		opts.BlacklistAfter = -1 // disabled
-	} else {
+	default:
 		opts.BlacklistAfter = streak
 	}
 	if opts.HeartbeatInterval, err = reg.GetDuration("executor.heartbeatInterval"); err != nil {
@@ -77,13 +96,19 @@ func ApplyConfig(opts *Options, reg *conf.Registry) error {
 	if err != nil {
 		return err
 	}
-	if retries <= 0 {
+	switch {
+	case retries < 0:
+		return fmt.Errorf("engine: shuffle.io.maxRetries must not be negative, got %d", retries)
+	case retries == 0:
 		opts.FetchMaxRetries = -1 // disabled
-	} else {
+	default:
 		opts.FetchMaxRetries = retries
 	}
 	if opts.FetchRetryWait, err = reg.GetDuration("shuffle.io.retryWait"); err != nil {
 		return err
+	}
+	if opts.FetchRetryWait <= 0 {
+		return fmt.Errorf("engine: shuffle.io.retryWait must be positive, got %v", opts.FetchRetryWait)
 	}
 	return nil
 }

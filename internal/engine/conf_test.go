@@ -107,15 +107,51 @@ func TestApplyConfigBadValues(t *testing.T) {
 	if err := ApplyConfig(&opts, reg3); err == nil {
 		t.Fatal("unknown scheduler mode accepted")
 	}
-	for _, v := range []string{"0", "-4"} {
+	for _, c := range []struct{ key, val string }{
+		{"executor.cores", "0"},
+		{"executor.cores", "-4"},
+		{"files.maxPartitionBytes", "0"},
+		{"files.maxPartitionBytes", "-1"},
+		{"executor.taskOverheadMillis", "-500"},
+		{"task.maxFailures", "0"},
+		{"task.maxFailures", "-1"},
+		{"speculation.quantile", "0"},
+		{"speculation.quantile", "1.5"},
+		{"speculation.quantile", "-0.5"},
+		{"speculation.quantile", "NaN"},
+		{"blacklist.stage.maxFailedTasksPerExecutor", "-1"},
+		{"shuffle.io.maxRetries", "-1"},
+		{"shuffle.io.retryWait", "0s"},
+		{"shuffle.io.retryWait", "-5s"},
+	} {
 		reg := conf.New()
-		if err := reg.Set("executor.cores", v); err != nil {
+		if err := reg.Set(c.key, c.val); err != nil {
 			t.Fatal(err)
 		}
 		opts := Options{Cluster: cluster.DAS5(2), Policy: core.Default{}}
 		err := ApplyConfig(&opts, reg)
-		if err == nil || !strings.Contains(err.Error(), "executor.cores") {
-			t.Fatalf("executor.cores=%s: got %v, want an error naming the key", v, err)
+		if err == nil || !strings.Contains(err.Error(), c.key) {
+			t.Fatalf("%s=%s: got %v, want an error naming the key", c.key, c.val, err)
 		}
+	}
+}
+
+// TestApplyConfigZeroTaskOverhead checks executor.taskOverheadMillis=0
+// runs tasks with no launch overhead rather than the 20ms default.
+func TestApplyConfigZeroTaskOverhead(t *testing.T) {
+	reg := conf.New()
+	if err := reg.Set("executor.taskOverheadMillis", "0"); err != nil {
+		t.Fatal(err)
+	}
+	opts := testOptions(2, core.Default{})
+	if err := ApplyConfig(&opts, reg); err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.opts.TaskOverheadCPUSeconds; got != 0 {
+		t.Fatalf("task overhead = %vs, want 0", got)
 	}
 }

@@ -1,14 +1,13 @@
-package exp
+package exp_test
 
 import (
 	"testing"
+
+	"sae/internal/exp"
 )
 
 func TestAutoscaleMatrix(t *testing.T) {
-	res, err := Autoscale(Default().WithScale(0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runBuiltin(t, "autoscale", exp.Default().WithScale(0.05)).(*exp.AutoscaleResult)
 	// 2 arrival scenarios × 4 provisioning configs.
 	if len(res.Rows) != 8 {
 		t.Fatalf("rows = %d, want 8", len(res.Rows))

@@ -172,7 +172,13 @@ func (r *Figure12Result) CSVTables() map[string][][]string {
 	rows := [][]string{{"disk", "stage", "threads", "t_sec", "throughput_mbps"}}
 	means := [][]string{{"disk", "stage", "threads", "mean_mbps"}}
 	for _, p := range r.Panels {
-		for th, series := range p.Series {
+		// Thread counts in sweep order: ranging over the Series map would
+		// shuffle the rows from run to run.
+		for _, th := range SweepThreads {
+			series, ok := p.Series[th]
+			if !ok {
+				continue
+			}
 			for _, pt := range series.Points {
 				rows = append(rows, []string{p.Disk, itoa(p.Stage), itoa(th),
 					ftoa(pt.At.Seconds()), ftoa(pt.Value)})

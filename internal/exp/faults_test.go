@@ -1,15 +1,27 @@
-package exp
+package exp_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"sae/internal/exp"
+	"sae/internal/scenario"
 )
 
-func TestFaultsMatrix(t *testing.T) {
-	res, err := Faults(Default().WithScale(0.04))
+// runBuiltin runs the committed scenario spec name at setup s: the faults,
+// grayfail, multitenant and autoscale experiments are those specs.
+func runBuiltin(t *testing.T, name string, s exp.Setup) fmt.Stringer {
+	t.Helper()
+	res, err := scenario.RunBuiltin(name, s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestFaultsMatrix(t *testing.T) {
+	res := runBuiltin(t, "faults", exp.Default().WithScale(0.04)).(*exp.FaultsResult)
 	// 3 policies × 4 schedules.
 	if len(res.Rows) != 12 {
 		t.Fatalf("rows = %d, want 12", len(res.Rows))

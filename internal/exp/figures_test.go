@@ -9,7 +9,9 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
+	"sae/internal/metrics"
 	"sae/internal/workloads"
 )
 
@@ -607,5 +609,32 @@ func TestCSVExport(t *testing.T) {
 	// 5 settings × 3 stages + 3 bestfit rows + header.
 	if lines != 5*3+3+1 {
 		t.Fatalf("sweep csv rows = %d", lines)
+	}
+}
+
+// TestFigure12CSVOrder checks the Fig. 12 CSV rows follow the sweep's
+// thread order, so two exports of one result are byte-identical.
+func TestFigure12CSVOrder(t *testing.T) {
+	p := ThroughputPanel{Disk: "HDD", Series: map[int]metrics.Series{}, Mean: map[int]float64{}}
+	for _, th := range SweepThreads {
+		var s metrics.Series
+		s.Add(time.Second, float64(th))
+		p.Series[th] = s
+		p.Mean[th] = float64(th)
+	}
+	// Map iteration order is random per range, so repeat the export.
+	for run := 0; run < 16; run++ {
+		tables := (&Figure12Result{Panels: []ThroughputPanel{p}}).CSVTables()
+		for _, name := range []string{"fig12_series", "fig12_means"} {
+			rows := tables[name][1:]
+			if len(rows) != len(SweepThreads) {
+				t.Fatalf("%s: %d rows, want %d", name, len(rows), len(SweepThreads))
+			}
+			for i, th := range SweepThreads {
+				if rows[i][2] != itoa(th) {
+					t.Fatalf("%s row %d has %s threads, want %d", name, i, rows[i][2], th)
+				}
+			}
+		}
 	}
 }

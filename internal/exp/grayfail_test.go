@@ -1,15 +1,14 @@
-package exp
+package exp_test
 
 import (
 	"strings"
 	"testing"
+
+	"sae/internal/exp"
 )
 
 func TestGrayFailMatrix(t *testing.T) {
-	res, err := GrayFail(Default().WithScale(0.04))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runBuiltin(t, "grayfail", exp.Default().WithScale(0.04)).(*exp.GrayFailResult)
 	// 3 policies × 4 schedules.
 	if len(res.Rows) != 12 {
 		t.Fatalf("rows = %d, want 12", len(res.Rows))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"sae/internal/core"
 	"sae/internal/engine"
 	"sae/internal/engine/job"
 	"sae/internal/workloads"
@@ -98,43 +97,8 @@ type MultiTenantResult struct {
 	Rows []MultiTenantRow
 }
 
-// MultiTenantMixes is the experiment's workload-mix set, built against one
-// workload config.
-func MultiTenantMixes(cfg workloads.Config) []Mix {
-	return []Mix{
-		{Name: "2xterasort", Make: func() []*workloads.Spec {
-			return []*workloads.Spec{workloads.Terasort(cfg), workloads.Terasort(cfg)}
-		}},
-		{Name: "2xpagerank", Make: func() []*workloads.Spec {
-			return []*workloads.Spec{workloads.PageRank(cfg), workloads.PageRank(cfg)}
-		}},
-		{Name: "terasort+pagerank", Make: func() []*workloads.Spec {
-			return []*workloads.Spec{workloads.Terasort(cfg), workloads.PageRank(cfg)}
-		}},
-		{Name: "2xterasort+2xpagerank", Make: func() []*workloads.Spec {
-			return []*workloads.Spec{
-				workloads.Terasort(cfg), workloads.PageRank(cfg),
-				workloads.Terasort(cfg), workloads.PageRank(cfg),
-			}
-		}},
-	}
-}
-
-// MultiTenant runs each workload mix under {FIFO, FAIR} × {default,
-// dynamic}.
-func MultiTenant(s Setup) (*MultiTenantResult, error) {
-	cells, err := Runner{Setup: s, Label: "multitenant"}.TenantMatrix(
-		MultiTenantMixes(s.workloadConfig()),
-		[]engine.InterJobPolicy{engine.FIFO{}, engine.Fair{}},
-		[]job.Policy{core.Default{}, core.DefaultDynamic()})
-	if err != nil {
-		return nil, err
-	}
-	return NewMultiTenantResult(cells), nil
-}
-
 // NewMultiTenantResult assembles the multi-tenant rows from tenant-matrix
-// cells (shared by the Go experiment and compiled scenario specs).
+// cells.
 func NewMultiTenantResult(cells []TenantCell) *MultiTenantResult {
 	res := &MultiTenantResult{}
 	for _, c := range cells {

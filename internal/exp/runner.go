@@ -15,13 +15,11 @@ import (
 	"sae/internal/workloads"
 )
 
-// Runner is the shared execution core behind the experiment harness: every
-// hand-coded experiment and every compiled scenario spec goes through the
-// same matrix primitives, so a scenario run is byte-identical to the Go
-// experiment it describes. The primitives own the repeated plumbing the
-// per-experiment files used to copy — quiet calibration runs, per-cell
-// engine setup, degraded-percentage accounting, arrival-schedule replay —
-// and return plain cells for the result types to render.
+// Runner holds the matrix primitives that compiled scenario specs run on,
+// the faults, grayfail, multitenant and autoscale experiments among them.
+// The primitives own the repeated plumbing — quiet calibration runs,
+// per-cell engine setup, degraded-percentage accounting, arrival-schedule
+// replay — and return plain cells for the result types to render.
 type Runner struct {
 	Setup Setup
 	// Label prefixes error messages ("faults", "grayfail", a scenario name).
@@ -220,7 +218,7 @@ type ArrivalMatrix struct {
 
 func (m *ArrivalMatrix) defaults() {
 	if m.SLOFactor == 0 {
-		m.SLOFactor = autoscaleSLOFactor
+		m.SLOFactor = 1.5
 	}
 	if m.Interval == 0 {
 		m.Interval = 10 * time.Second

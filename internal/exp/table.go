@@ -25,8 +25,7 @@ type Column struct {
 
 // Table is the shared renderer behind every flat matrix result: one title
 // line, one aligned header, one line per row — and the same rows again as a
-// CSV table. Both Go experiments and compiled scenario runs render through
-// it, so the two paths cannot drift apart.
+// CSV table, so a result's text and CSV forms cannot drift apart.
 type Table struct {
 	// Title is the first line of String(), without the trailing newline.
 	Title string

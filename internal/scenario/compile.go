@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"sae/internal/arrival"
@@ -36,9 +37,8 @@ func (sp *Spec) BaseSetup() exp.Setup {
 
 // Compiled is a scenario bound to a concrete setup, ready to run. The
 // compile step resolves every name — workloads, policies, schedulers,
-// chaos clauses, arrival processes — into the same constructs the
-// hand-coded experiments build, so the run that follows is byte-identical
-// to its Go equivalent at the same setup.
+// chaos clauses, arrival processes — into the exp.Runner inputs the run
+// needs.
 type Compiled struct {
 	Spec  *Spec
 	Setup exp.Setup
@@ -89,10 +89,23 @@ func (sp *Spec) Compile(s exp.Setup) (*Compiled, error) {
 }
 
 // Run executes the compiled scenario and returns its printable result.
-// Matrix kinds return the same result types the Go experiments return
-// (implementing exp.Tabular); the single kind returns a *SingleResult.
+// Matrix kinds return the exp result types (implementing exp.Tabular); the
+// single kind returns a *SingleResult.
 func (c *Compiled) Run() (fmt.Stringer, error) {
 	return c.run()
+}
+
+// RunBuiltin compiles the built-in spec name against s and runs it.
+func RunBuiltin(name string, s exp.Setup) (fmt.Stringer, error) {
+	sp, err := Builtin(name)
+	if err != nil {
+		return nil, err
+	}
+	c, err := sp.Compile(s)
+	if err != nil {
+		return nil, err
+	}
+	return c.Run()
 }
 
 func (c *Compiled) workloadConfig() workloads.Config {
@@ -158,12 +171,12 @@ func (c *Compiled) compileSingle() error {
 	}
 	s := c.Setup
 	if sp.Chaos != "" {
-		gen, err := parseScheduleSpec(sp.Chaos)
+		gen, err := chaos.ParseSchedule(sp.Chaos)
 		if err != nil {
-			return fmt.Errorf("chaos: %w", err)
+			return err
 		}
-		// Single-run clauses are absolute-time (Parse enforces it), so the
-		// quiet runtime the generator receives is irrelevant.
+		// Single-run clauses are absolute-time (the decoder enforces it),
+		// so the quiet runtime the generator receives is irrelevant.
 		s = s.WithFaults(gen(0, s.Seed))
 	}
 	c.run = func() (fmt.Stringer, error) {
@@ -222,9 +235,9 @@ func (c *Compiled) compileChaosMatrix() error {
 	if err != nil {
 		return err
 	}
-	gens := make([]scheduleGen, len(sp.Schedules))
+	gens := make([]func(time.Duration, int64) *chaos.Plan, len(sp.Schedules))
 	for i, s := range sp.Schedules {
-		if gens[i], err = parseScheduleSpec(s); err != nil {
+		if gens[i], err = chaos.ParseSchedule(s); err != nil {
 			return fmt.Errorf("schedules[%d]: %w", i, err)
 		}
 	}
@@ -255,7 +268,7 @@ func (c *Compiled) compileTenantMatrix() error {
 	sp := c.Spec
 	cfg := c.workloadConfig()
 	// Resolve every workload name up front; Make closures then rebuild
-	// fresh specs per run, as the hand-coded mixes do.
+	// fresh specs per run.
 	mixes := make([]exp.Mix, len(sp.Mixes))
 	for i, m := range sp.Mixes {
 		names := m.Workloads
@@ -317,14 +330,14 @@ func (c *Compiled) compileArrivalMatrix() error {
 	em := exp.ArrivalMatrix{
 		Capacity:  capacity,
 		Horizon:   m.Horizon,
-		MaxJobs:   exp.ScaleCount(m.MaxJobs, s.Scale, max(m.MinJobs, 1)),
+		MaxJobs:   scaleCount(m.MaxJobs, s.Scale, max(m.MinJobs, 1)),
 		SLOFactor: m.SLOFactor,
 		Baseline:  m.Baseline,
 	}
 	for _, t := range m.Tenants {
 		em.Tenants = append(em.Tenants, exp.ArrivalTenant{
 			Class:  arrival.Class{Name: t.Name, Weight: t.Weight, Priority: t.Priority},
-			Blocks: exp.ScaleCount(t.Blocks, s.Scale, max(t.MinBlocks, 1)),
+			Blocks: scaleCount(t.Blocks, s.Scale, max(t.MinBlocks, 1)),
 		})
 	}
 	for _, p := range m.Arrivals {
@@ -345,6 +358,16 @@ func (c *Compiled) compileArrivalMatrix() error {
 		return exp.Runner{Setup: s, Label: sp.Name}.ArrivalMatrix(em)
 	}
 	return nil
+}
+
+// scaleCount scales an integer design point by the setup's data scale,
+// never below min.
+func scaleCount(n int, scale float64, min int) int {
+	v := int(math.Round(float64(n) * scale))
+	if v < min {
+		v = min
+	}
+	return v
 }
 
 func buildProcess(p ArrivalProcSpec) (arrival.Process, error) {

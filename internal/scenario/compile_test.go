@@ -2,9 +2,11 @@ package scenario
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"os"
 	"path/filepath"
-	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,7 +18,7 @@ import (
 
 func loadGolden(t *testing.T, name string) *Spec {
 	t.Helper()
-	sp, err := Load(filepath.Join("..", "..", "scenarios", name))
+	sp, err := Builtin(strings.TrimSuffix(name, ".yaml"))
 	if err != nil {
 		t.Fatalf("load %s: %v", name, err)
 	}
@@ -36,81 +38,78 @@ func runScenario(t *testing.T, sp *Spec, s exp.Setup) fmt.Stringer {
 	return res
 }
 
-// requireIdentical asserts a scenario result matches its hand-coded Go
-// equivalent byte for byte: rendered report and CSV series.
-func requireIdentical(t *testing.T, name string, goRes, scRes fmt.Stringer) {
+// requireGolden runs the built-in spec name at setup s and asserts its
+// report and CSV tables match testdata/golden byte for byte. The goldens
+// were captured from the Go constructors these specs replaced, so they pin
+// the experiments to the bytes they have always produced.
+func requireGolden(t *testing.T, name string, s exp.Setup) {
 	t.Helper()
-	if goRes.String() != scRes.String() {
-		t.Errorf("%s: scenario report differs from the Go experiment\n--- go ---\n%s--- scenario ---\n%s",
-			name, goRes.String(), scRes.String())
+	res, err := RunBuiltin(name, s)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
-	goTab, ok1 := goRes.(exp.Tabular)
-	scTab, ok2 := scRes.(exp.Tabular)
-	if !ok1 || !ok2 {
-		t.Fatalf("%s: results must both be Tabular (go %v, scenario %v)", name, ok1, ok2)
+	golden := filepath.Join("testdata", "golden")
+	want, err := os.ReadFile(filepath.Join(golden, name+".txt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(goTab.CSVTables(), scTab.CSVTables()) {
-		t.Errorf("%s: scenario CSV series differ from the Go experiment", name)
+	if res.String() != string(want) {
+		t.Errorf("%s: report differs from the golden\n--- golden ---\n%s--- got ---\n%s", name, want, res)
+	}
+	tab, ok := res.(exp.Tabular)
+	if !ok {
+		t.Fatalf("%s: result %T is not Tabular", name, res)
+	}
+	dir := t.TempDir()
+	if err := exp.WriteCSV(dir, tab); err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.CSVTables()) != 1 {
+		t.Errorf("%s: %d CSV tables, want 1", name, len(tab.CSVTables()))
+	}
+	for table := range tab.CSVTables() {
+		got, err := os.ReadFile(filepath.Join(dir, table+".csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(golden, table+".csv"))
+		if err != nil {
+			t.Fatalf("%s: no golden for CSV table %s: %v", name, table, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: CSV table %s differs from the golden\n--- golden ---\n%s--- got ---\n%s", name, table, want, got)
+		}
 	}
 }
 
-// TestFaultsScenarioByteIdentical runs scenarios/faults.yaml and the Go
-// faults experiment at the same seed and asserts report, CSV and trace
-// bytes all match.
+// TestFaultsScenarioByteIdentical pins the faults experiment's report, CSV
+// and trace bytes (the trace by its SHA-256).
 func TestFaultsScenarioByteIdentical(t *testing.T) {
-	sp := loadGolden(t, "faults.yaml")
-	var goTrace, scTrace bytes.Buffer
-
-	goSetup := sp.BaseSetup().WithScale(0.04)
-	goSetup.Trace = &goTrace
-	goRes, err := exp.Faults(goSetup)
+	var trace bytes.Buffer
+	s := exp.Default().WithScale(0.04)
+	s.Trace = &trace
+	requireGolden(t, "faults", s)
+	want, err := os.ReadFile(filepath.Join("testdata", "golden", "faults.trace.sha256"))
 	if err != nil {
-		t.Fatalf("exp.Faults: %v", err)
+		t.Fatal(err)
 	}
-
-	scSetup := sp.BaseSetup().WithScale(0.04)
-	scSetup.Trace = &scTrace
-	scRes := runScenario(t, sp, scSetup)
-
-	requireIdentical(t, "faults", goRes, scRes)
-	if !bytes.Equal(goTrace.Bytes(), scTrace.Bytes()) {
-		t.Errorf("faults: scenario trace differs from the Go experiment (%d vs %d bytes)",
-			goTrace.Len(), scTrace.Len())
+	if got := fmt.Sprintf("%x\n", sha256.Sum256(trace.Bytes())); got != string(want) {
+		t.Errorf("faults: trace SHA-256 %s, golden %s", strings.TrimSpace(got), strings.TrimSpace(string(want)))
 	}
 }
 
 func TestGrayFailScenarioByteIdentical(t *testing.T) {
-	sp := loadGolden(t, "grayfail.yaml")
-	goRes, err := exp.GrayFail(sp.BaseSetup().WithScale(0.04))
-	if err != nil {
-		t.Fatalf("exp.GrayFail: %v", err)
-	}
-	scRes := runScenario(t, sp, sp.BaseSetup().WithScale(0.04))
-	requireIdentical(t, "grayfail", goRes, scRes)
+	requireGolden(t, "grayfail", exp.Default().WithScale(0.04))
 }
 
 func TestMultiTenantScenarioByteIdentical(t *testing.T) {
-	sp := loadGolden(t, "multitenant.yaml")
-	goRes, err := exp.MultiTenant(sp.BaseSetup().WithScale(0.02))
-	if err != nil {
-		t.Fatalf("exp.MultiTenant: %v", err)
-	}
-	scRes := runScenario(t, sp, sp.BaseSetup().WithScale(0.02))
-	requireIdentical(t, "multitenant", goRes, scRes)
+	requireGolden(t, "multitenant", exp.Default().WithScale(0.02))
 }
 
 func TestAutoscaleScenarioByteIdentical(t *testing.T) {
-	sp := loadGolden(t, "autoscale.yaml")
-	goSetup := sp.BaseSetup().WithScale(0.05)
-	goSetup.Seed = 7
-	goRes, err := exp.Autoscale(goSetup)
-	if err != nil {
-		t.Fatalf("exp.Autoscale: %v", err)
-	}
-	scSetup := sp.BaseSetup().WithScale(0.05)
-	scSetup.Seed = 7
-	scRes := runScenario(t, sp, scSetup)
-	requireIdentical(t, "autoscale", goRes, scRes)
+	s := exp.Default().WithScale(0.05)
+	s.Seed = 7
+	requireGolden(t, "autoscale", s)
 }
 
 // TestSingleScenario runs scenarios/terasort-crash.yaml against the
@@ -176,35 +175,5 @@ func TestScenarioConfCLIOverride(t *testing.T) {
 	}
 	if got != "9" {
 		t.Errorf("CLI conf override lost: shuffle.io.maxRetries = %q, want 9", got)
-	}
-}
-
-// TestPercentScheduleMath pins the percentage-time resolution to the exact
-// integer math the Go experiments use.
-func TestPercentScheduleMath(t *testing.T) {
-	quiet := 151200 * time.Millisecond
-	cases := []struct {
-		clause string
-		want   *chaos.Plan
-	}{
-		{"crash1@45%", chaos.CrashAt(1, quiet*45/100)},
-		{"crash1@45%+20%", chaos.CrashRestart(1, quiet*45/100, quiet*20/100)},
-		{"slow1@25%x4", chaos.SlowAt(1, quiet/4, 4)},
-		{"partition1@25%+20%", chaos.PartitionAt(1, quiet/4, quiet*20/100)},
-		{"flaky:0.02", chaos.Flaky(0.02, 7)},
-		{"corrupt:0.05", chaos.Corrupt(0.05, 7)},
-	}
-	for _, c := range cases {
-		gen, err := parseScheduleSpec(c.clause)
-		if err != nil {
-			t.Fatalf("%s: %v", c.clause, err)
-		}
-		got := gen(quiet, 7)
-		if got.String() != c.want.String() {
-			t.Errorf("%s: plan name %q, want %q", c.clause, got, c.want)
-		}
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("%s: plan differs from the constructor-built equivalent", c.clause)
-		}
 	}
 }

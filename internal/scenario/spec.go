@@ -8,9 +8,11 @@ import (
 	"strings"
 	"time"
 
+	"sae/internal/chaos"
 	"sae/internal/conf"
 	"sae/internal/exp"
 	"sae/internal/workloads"
+	"sae/scenarios"
 )
 
 // Version is the spec schema version this build reads and writes.
@@ -147,8 +149,7 @@ type ProvisionSpec struct {
 	// Initial is the starting fleet: an integer, "capacity", or "small"
 	// (a third of capacity, at least 2).
 	Initial string
-	// Adaptive planner knobs (zero = the planner's zero value, matching
-	// the Go experiment's explicit struct literal).
+	// Adaptive planner knobs (zero = the planner's zero value).
 	Alpha           float64
 	DrainTarget     time.Duration
 	Headroom        float64
@@ -162,6 +163,16 @@ func Load(path string) (*Spec, error) {
 		return nil, err
 	}
 	return Parse(path, data)
+}
+
+// Builtin returns the committed spec scenarios/<name>.yaml, as embedded in
+// the binary.
+func Builtin(name string) (*Spec, error) {
+	data, err := scenarios.FS.ReadFile(name + ".yaml")
+	if err != nil {
+		return nil, fmt.Errorf("scenario: no built-in spec %q", name)
+	}
+	return Parse("scenarios/"+name+".yaml", data)
 }
 
 // Parse decodes and validates one scenario document. name prefixes every
@@ -511,13 +522,9 @@ func (d *dec) single(f *fields, sp *Spec) error {
 		return err
 	}
 	if cn != nil {
-		// Single runs take the absolute-time chaos grammar verbatim;
-		// percentage times need a quiet calibration run, which only the
-		// chaos matrix performs.
-		if strings.Contains(chaosSpec, "%") {
-			return d.errf(cn, "field \"chaos\": percentage times are only valid in chaos-matrix schedules")
-		}
-		if _, perr := parseScheduleSpec(chaosSpec); perr != nil {
+		// Single runs take the absolute-time grammar: percentage times
+		// need a quiet calibration run, which only the chaos matrix has.
+		if _, perr := chaos.Parse(chaosSpec); perr != nil {
 			return d.errf(cn, "field \"chaos\": %v", perr)
 		}
 		sp.Chaos = chaosSpec
@@ -583,7 +590,7 @@ func (d *dec) chaosMatrix(f *fields, sp *Spec) error {
 		return d.errf(f.n, "%s: missing required field \"schedules\"", f.ctx)
 	}
 	for i, s := range schedules {
-		if _, perr := parseScheduleSpec(s); perr != nil {
+		if _, perr := chaos.ParseSchedule(s); perr != nil {
 			return d.errf(schedulePos(sn, i), "schedules[%d]: %v", i, perr)
 		}
 	}

@@ -356,3 +356,12 @@ report: faults
 		requireErr(t, msg, "7", "schedules[0]", "bad factor", `"`+factor+`"`)
 	}
 }
+
+// TestNegativeChaosTime checks a single run's chaos field rejects a negative
+// time at the spec line, before it can reach the simulation clock.
+func TestNegativeChaosTime(t *testing.T) {
+	for _, clause := range []string{"crash1@-5s", "crash-1@5s", "crash1@5s+-3s", "flaky:0"} {
+		msg := parseErr(t, validSingle+"chaos: "+clause+"\n")
+		requireErr(t, msg, "6", `field "chaos"`, clause)
+	}
+}
